@@ -14,6 +14,7 @@ from .core import (
     GaborAtom,
     ImpulseTrain,
     IndexOutOfRange,
+    InvalidParameter,
     LengthMismatch,
     NonFiniteSample,
     NonPositiveInterval,
@@ -43,6 +44,7 @@ from .kernels import (
 from .transforms import (
     QuadResult,
     QuadratureSpec,
+    bin_frequencies,
     bin_to_frequency,
     centered,
     dft,

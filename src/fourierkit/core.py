@@ -68,6 +68,10 @@ class ZeroEnergy(FourierKitError, ValueError):
     """An all-zero waveform was passed where moments must be normalized."""
 
 
+class InvalidParameter(FourierKitError, ValueError):
+    """A parameter or a record length is outside the range an operation accepts."""
+
+
 class ParseError(FourierKitError, ValueError):
     """An input file exists but its contents cannot be understood."""
 

@@ -68,7 +68,11 @@ def convolve_linear(x: Sequence[complex], y: Sequence[complex]) -> np.ndarray:
 
 
 def convolve_circular(x: Sequence[complex], y: Sequence[complex]) -> np.ndarray:
-    """Direct circular convolution of two equal-length sequences."""
+    """Direct circular convolution of two equal-length sequences.
+
+    The linear convolution is folded onto one period: output k collects
+    the terms at k and k + N.  Memory stays O(N).
+    """
     xa = np.asarray(x, dtype=np.complex128).reshape(-1)
     ya = np.asarray(y, dtype=np.complex128).reshape(-1)
     if xa.size != ya.size:
@@ -76,8 +80,9 @@ def convolve_circular(x: Sequence[complex], y: Sequence[complex]) -> np.ndarray:
     if xa.size == 0:
         raise LengthMismatch("convolution needs nonempty sequences")
     n = xa.size
-    shift = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return ya[shift] @ xa
+    out = convolve_linear(xa, ya)
+    out[:n - 1] += out[n:]
+    return out[:n]
 
 
 def window_rect(w: Waveform, width: float, center: float) -> Waveform:

@@ -9,10 +9,12 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     FrameTooLong,
     GaborAtom,
+    InvalidParameter,
     OddLength,
     REAL,
     RealTagViolation,
@@ -21,7 +23,7 @@ from .core import (
     ZeroEnergy,
     validate_waveform,
 )
-from .transforms import _fft_raw, _ifft_raw, bin_to_frequency
+from .transforms import _fft_raw, _ifft_raw, bin_frequencies
 
 
 def analytic_signal(w: Waveform) -> Waveform:
@@ -37,7 +39,7 @@ def analytic_signal(w: Waveform) -> Waveform:
         raise RealTagViolation("analytic signal needs a real-tagged waveform")
     n = len(w)
     if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+        raise InvalidParameter(f"need at least 2 samples, got {n}")
     gains = np.zeros(n)
     gains[0] = 1.0
     if n % 2 == 0:
@@ -91,11 +93,11 @@ def stft(w: Waveform, window_alpha: float, hop: int, frame: int) -> TFDistributi
     """
     validate_waveform(w)
     if window_alpha < 0.0:
-        raise ValueError(f"window_alpha must be >= 0, got {window_alpha!r}")
+        raise InvalidParameter(f"window_alpha must be >= 0, got {window_alpha!r}")
     if hop < 1:
-        raise ValueError(f"hop must be >= 1, got {hop}")
+        raise InvalidParameter(f"hop must be >= 1, got {hop}")
     if frame < 1:
-        raise ValueError(f"frame must be >= 1, got {frame}")
+        raise InvalidParameter(f"frame must be >= 1, got {frame}")
     n = len(w)
     if frame > n:
         raise FrameTooLong(f"frame {frame} longer than record {n}")
@@ -109,12 +111,9 @@ def stft(w: Waveform, window_alpha: float, hop: int, frame: int) -> TFDistributi
         window[np.abs(offsets) > 4.0 / window_alpha] = 0.0
 
     starts = np.arange(0, n - frame + 1, hop)
-    rows = np.empty((starts.size, frame), dtype=np.complex128)
-    for i, s in enumerate(starts):
-        rows[i] = _fft_raw(w.samples[s:s + frame] * window)
+    rows = _fft_raw(sliding_window_view(w.samples, frame)[::hop] * window)
     times = w.start_time + (starts + half) * w.sample_interval
-    fs = 1.0 / w.sample_interval
-    freqs = np.array([bin_to_frequency(k, frame, fs) for k in range(frame)])
+    freqs = bin_frequencies(frame, 1.0 / w.sample_interval)
     return TFDistribution(rows, times, freqs, kind="stft-complex")
 
 
@@ -137,21 +136,18 @@ def wvd(w: Waveform) -> TFDistribution:
     if n % 2 != 0:
         raise OddLength(f"need an even sample count, got {n}")
     if n < 4:
-        raise ValueError(f"need at least 4 samples, got {n}")
+        raise InvalidParameter(f"need at least 4 samples, got {n}")
     psi = analytic_signal(w).samples if w.tag == REAL else w.samples
 
     lags = n // 2
     reach = lags // 2 - 1
     centers = np.arange(reach, n - reach)
-    rows = np.empty((centers.size, lags))
-    base = np.zeros(lags, dtype=np.complex128)
-    for i, c in enumerate(centers):
-        r = base.copy()
-        m = np.arange(0, reach + 1)
-        prod = psi[c + m] * np.conj(psi[c - m])
-        r[m] = prod
-        r[-m[1:]] = np.conj(prod[1:])
-        rows[i] = _fft_raw(r).real
+    m = np.arange(0, reach + 1)
+    prod = psi[centers[:, None] + m] * np.conj(psi[centers[:, None] - m])
+    lagged = np.zeros((centers.size, lags), dtype=np.complex128)
+    lagged[:, m] = prod
+    lagged[:, lags - m[1:]] = np.conj(prod[:, 1:])
+    rows = _fft_raw(lagged).real.copy()  # a view would keep the complex rows alive
     times = w.start_time + centers * w.sample_interval
     freqs = np.arange(lags) / (2.0 * lags * w.sample_interval)
     return TFDistribution(rows, times, freqs, kind="wvd-real")
@@ -186,8 +182,7 @@ def uncertainty_product(w: Waveform) -> UncertaintyProduct:
     padded = np.zeros(8 * psi.size, dtype=np.complex128)
     padded[:psi.size] = psi
     spec = np.abs(_fft_raw(padded)) ** 2
-    fs = 1.0 / w.sample_interval
-    freqs = np.array([bin_to_frequency(k, padded.size, fs) for k in range(padded.size)])
+    freqs = bin_frequencies(padded.size, 1.0 / w.sample_interval)
     pf = spec / float(spec.sum())
     mean_f = float(np.dot(freqs, pf))
     sigma_f = math.sqrt(float(np.dot((freqs - mean_f) ** 2, pf)))

@@ -1,9 +1,11 @@
 """Transform family.
 
 Discrete side: ``dft`` is the direct O(N^2) summation and is kept as the
-reference path; ``fft`` is an iterative radix-2 transform with cached
-twiddle tables, falling back to a chirp convolution for lengths that are
-not powers of two.  Forward transforms are unscaled, inverses carry 1/N.
+reference path; ``fft`` runs one batched core that transforms the last axis
+of a (..., N) array: an iterative radix-2 transform with cached twiddle
+tables, falling back to a chirp convolution for lengths that are not powers
+of two.  The time-frequency layer hands it all of its frames in one call.
+Forward transforms are unscaled, inverses carry 1/N.
 
 Continuous side: ``quad_ft`` integrates map(t) * exp(-+ i 2 pi f t) with an
 adaptive Simpson rule, with an optional exponential damping factor for
@@ -87,57 +89,106 @@ def _halfturn(m: int) -> np.ndarray:
     return w
 
 
+# Largest batch, in padded points, that one kernel call transforms at once;
+# bigger batches go through in row blocks so the scratch buffers stay bounded.
+_CHUNK_POINTS = 1 << 19
+
+
+def _by_chunks(kernel: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+               padded: int) -> np.ndarray:
+    """Apply ``kernel`` to the rows of x (last axis) in blocks of at most
+    _CHUNK_POINTS points once each row is padded to ``padded``."""
+    rows = x.reshape(-1, x.shape[-1])
+    step = max(1, _CHUNK_POINTS // padded)
+    if rows.shape[0] <= step:
+        return kernel(rows).reshape(x.shape)
+    out = np.empty(rows.shape, dtype=np.complex128)
+    for lo in range(0, rows.shape[0], step):
+        out[lo:lo + step] = kernel(rows[lo:lo + step])
+    return out.reshape(x.shape)
+
+
 def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 transform; len(x) must be a power of two."""
-    n = x.size
-    stage = np.asarray(x, dtype=np.complex128).reshape(1, n).copy()
-    while stage.shape[0] < n:
-        rows, cols = stage.shape
+    """Iterative radix-2 transform of the last axis, whose length n must be
+    a power of two.
+
+    Each row passes through stages of (rows, cols) blocks, rows * cols = n,
+    starting at (1, n): a stage splits every block row into halves and
+    stacks even + odd * w and even - odd * w, w = exp(-i pi r / rows).
+    Stages alternate between two preallocated buffers.  Once rows >= cols a
+    stage is stored as (cols, rows), so the innermost loop always runs over
+    the longer axis, and the last stage (n, 1) is the output row in order.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.shape[-1]
+    src = x.reshape(-1, 1, n)
+    batch = src.shape[0]
+    store, spare = (np.empty(batch * n, dtype=np.complex128) for _ in range(2))
+    rows, cols = 1, n
+    while cols > 1:
         half = cols // 2
-        even = stage[:, :half]
-        odd = stage[:, half:] * _halfturn(rows)[:, None]
-        stage = np.vstack([even + odd, even - odd])
-    return stage.reshape(n)
-
-
-def _ifft_pow2(x: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(x))) / x.size
+        if 2 * rows >= half:
+            dst = store.reshape(batch, half, 2 * rows).transpose(0, 2, 1)
+        else:
+            dst = store.reshape(batch, 2 * rows, half)
+        even, low, high = src[:, :, :half], dst[:, :rows], dst[:, rows:]
+        np.multiply(src[:, :, half:], _halfturn(rows)[:, None], out=high)
+        np.add(even, high, out=low)
+        np.subtract(even, high, out=high)
+        src, rows, cols = dst, 2 * rows, half
+        store, spare = spare, store
+    return src.reshape(x.shape)
 
 
 def _bluestein(x: np.ndarray) -> np.ndarray:
-    """Arbitrary-length transform as a chirp-modulated convolution.
+    """Arbitrary-length transform of the last axis as a chirp-modulated
+    convolution.
 
     The quadratic exponent is reduced mod 2N in integer arithmetic before
-    the complex exponential so large N does not lose phase accuracy.
+    the complex exponential so large N does not lose phase accuracy.  The
+    chirp and the spectrum of the convolution kernel are built once per
+    call and shared by every row.
     """
-    n = x.size
+    n = x.shape[-1]
     ks = np.arange(n, dtype=np.int64)
     chirp = np.exp((-1j * np.pi / n) * ((ks * ks) % (2 * n)))
     m = 1 << (2 * n - 1).bit_length()
-    a = np.zeros(m, dtype=np.complex128)
-    a[:n] = x * chirp
     b = np.zeros(m, dtype=np.complex128)
     b[:n] = np.conj(chirp)
     b[m - n + 1:] = np.conj(chirp[1:])[::-1]
-    conv = _ifft_pow2(_fft_pow2(a) * _fft_pow2(b))
-    return chirp * conv[:n]
+    kernel = _fft_pow2(b)
+
+    def convolve(rows: np.ndarray) -> np.ndarray:
+        a = np.zeros((rows.shape[0], m), dtype=np.complex128)
+        np.multiply(rows, chirp, out=a[:, :n])
+        spec = _fft_pow2(a)
+        spec *= kernel
+        return chirp * _ifft_raw(spec)[:, :n]
+
+    return _by_chunks(convolve, x, m)
 
 
 def _fft_raw(x: np.ndarray) -> np.ndarray:
+    """Forward transform of the last axis of a (..., n) array, unscaled."""
     x = np.asarray(x, dtype=np.complex128)
-    n = x.size
+    n = x.shape[-1]
     if n <= 1:
         return x.copy()
     if n & (n - 1) == 0:
-        return _fft_pow2(x)
+        return _by_chunks(_fft_pow2, x, n)
     return _bluestein(x)
 
 
 def _ifft_raw(x: np.ndarray) -> np.ndarray:
+    """Inverse transform of the last axis of a (..., n) array, scaled by 1/n."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.size <= 1:
+    n = x.shape[-1]
+    if n <= 1:
         return x.copy()
-    return np.conj(_fft_raw(np.conj(x))) / x.size
+    out = _fft_raw(np.conj(x))
+    np.conjugate(out, out=out)
+    out /= n
+    return out
 
 
 def fft(w: Waveform) -> Spectrum:
@@ -185,11 +236,20 @@ def bin_to_frequency(k: int, n: int, sample_rate: float) -> float:
     return (k - n) * sample_rate / n
 
 
+def bin_frequencies(n: int, sample_rate: float) -> np.ndarray:
+    """Frequencies in Hz of bins 0..n-1, each equal to ``bin_to_frequency``."""
+    if n < 1:
+        raise EmptyBins(f"bin count must be >= 1, got {n}")
+    if not sample_rate > 0.0:
+        raise NonPositiveInterval(f"sample_rate must be > 0, got {sample_rate!r}")
+    k = np.arange(n)
+    return np.where(k < (n + 1) // 2, k, k - n) * sample_rate / n
+
+
 def centered(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Reorder bins for display: (frequencies ascending, matching values)."""
     n = _require_bins(s)
-    fs = s.bin_spacing * n
-    freqs = np.array([bin_to_frequency(k, n, fs) for k in range(n)])
+    freqs = bin_frequencies(n, s.bin_spacing * n)
     order = np.argsort(freqs, kind="stable")
     return freqs[order], s.bins[order]
 

@@ -77,11 +77,14 @@ def test_errors_subclass_builtin_families():
     assert issubclass(LengthMismatch, ValueError)
     from fourierkit import (
         IndexOutOfRange,
+        InvalidParameter,
         ParseError,
         ToleranceNotReached,
         ZeroEnergy,
     )
     assert issubclass(IndexOutOfRange, IndexError)
+    assert issubclass(InvalidParameter, FourierKitError)
+    assert issubclass(InvalidParameter, ValueError)
     assert issubclass(ToleranceNotReached, RuntimeError)
     assert issubclass(ParseError, ValueError)
     assert issubclass(ZeroEnergy, ValueError)

@@ -1,6 +1,7 @@
 """Sampling, aliasing, windowing, convolutions, and sinc reconstruction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,22 @@ def test_convolve_circular_matches_transform_product():
                     1.0 / 12.0)
     via_bins = idft(spec).samples
     assert np.max(np.abs(direct - via_bins)) <= 1e-12
+
+
+def test_convolve_circular_memory_stays_linear():
+    # an n x n index matrix would need about 4 GiB here
+    n = 16384
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(n)
+    y = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        out = convolve_circular(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n,)
+    assert peak < 8 * 2 ** 20
 
 
 def test_zero_padded_circular_equals_linear():

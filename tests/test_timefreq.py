@@ -7,8 +7,10 @@ import pytest
 from numpy.fft import fft as np_fft
 
 from fourierkit import (
+    FourierKitError,
     FrameTooLong,
     GaborAtom,
+    InvalidParameter,
     OddLength,
     QuadratureSpec,
     RealTagViolation,
@@ -24,6 +26,7 @@ from fourierkit import (
     uncertainty_product,
     wvd,
 )
+from fourierkit.transforms import _fft_raw
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +172,38 @@ def test_stft_separated_bursts_do_not_leak():
     assert energy[away].sum() / energy.sum() <= 1e-6
 
 
+def _stft_reference(w, window_alpha, hop, frame):
+    """Frame-by-frame short-time spectra: one 1-D transform per frame."""
+    half = (frame - 1) / 2.0
+    offsets = (np.arange(frame) - half) * w.sample_interval
+    if window_alpha == 0.0:
+        window = np.ones(frame)
+    else:
+        window = np.exp(-(window_alpha ** 2) * offsets ** 2)
+        window[np.abs(offsets) > 4.0 / window_alpha] = 0.0
+    starts = np.arange(0, len(w) - frame + 1, hop)
+    rows = np.empty((starts.size, frame), dtype=np.complex128)
+    for i, s in enumerate(starts):
+        rows[i] = _fft_raw(w.samples[s:s + frame] * window)
+    return rows, w.start_time + (starts + half) * w.sample_interval
+
+
+@pytest.mark.parametrize("n, alpha, hop, frame", [
+    (512, 8.0, 16, 64),      # radix-2 frames
+    (512, 0.0, 7, 60),       # Bluestein frames, flat window
+    (2600, 4.0, 1, 100),     # Bluestein frames spanning two batch chunks
+    (300, 2.0, 5, 300),      # a single frame
+])
+def test_stft_equals_per_frame_reference(n, alpha, hop, frame):
+    rng = np.random.default_rng(n + frame)
+    w = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1.0 / 64.0,
+                 start_time=-0.75)
+    dist = stft(w, window_alpha=alpha, hop=hop, frame=frame)
+    rows, times = _stft_reference(w, alpha, hop, frame)
+    assert np.array_equal(dist.values, rows)
+    assert np.array_equal(dist.time_axis, times)
+
+
 def test_stft_validation():
     w = Waveform(np.ones(16), 1.0)
     with pytest.raises(FrameTooLong):
@@ -197,6 +232,32 @@ def _lag_rows_reference(psi, centers, lags):
         lag[lags - m[1:]] = np.conj(prod[1:])
         rows[i] = np_fft(lag)
     return rows
+
+
+def _wvd_rows_reference(psi):
+    """Row-by-row distribution: one lag vector and 1-D transform per center."""
+    n = psi.size
+    lags = n // 2
+    reach = lags // 2 - 1
+    centers = np.arange(reach, n - reach)
+    rows = np.empty((centers.size, lags))
+    m = np.arange(0, reach + 1)
+    for i, c in enumerate(centers):
+        r = np.zeros(lags, dtype=np.complex128)
+        prod = psi[c + m] * np.conj(psi[c - m])
+        r[m] = prod
+        r[-m[1:]] = np.conj(prod[1:])
+        rows[i] = _fft_raw(r).real
+    return rows
+
+
+@pytest.mark.parametrize("n", [4, 64, 130, 512])
+def test_wvd_equals_row_by_row_reference(n):
+    rng = np.random.default_rng(n)
+    real = Waveform(rng.standard_normal(n), 0.5)
+    cplx = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), 0.5)
+    for w, psi in ((real, analytic_signal(real).samples), (cplx, cplx.samples)):
+        assert np.array_equal(wvd(w).values, _wvd_rows_reference(psi))
 
 
 def test_wvd_tone_ridge_and_axis():
@@ -275,6 +336,22 @@ def test_wvd_validation():
         wvd(Waveform(np.ones(7), 1.0))
     with pytest.raises(ValueError):
         wvd(Waveform(np.ones(2), 1.0))
+
+
+def test_parameter_errors_belong_to_the_package():
+    w = Waveform(np.ones(16), 1.0)
+    calls = [
+        lambda: stft(w, window_alpha=-1.0, hop=4, frame=8),
+        lambda: stft(w, window_alpha=0.0, hop=0, frame=8),
+        lambda: stft(w, window_alpha=0.0, hop=4, frame=0),
+        lambda: analytic_signal(Waveform([1.0], 1.0)),
+        lambda: wvd(Waveform(np.ones(2), 1.0)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameter) as info:
+            call()
+        assert isinstance(info.value, FourierKitError)
+        assert isinstance(info.value, ValueError)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fourierkit import (
     Spectrum,
     ToleranceNotReached,
     Waveform,
+    bin_frequencies,
     bin_to_frequency,
     centered,
     dft,
@@ -27,6 +28,7 @@ from fourierkit import (
     rect,
     sinc,
 )
+from fourierkit.transforms import _CHUNK_POINTS, _fft_raw, _ifft_raw
 
 
 def _random_waveform(rng, n, interval=1.0):
@@ -147,6 +149,37 @@ def test_bin_to_frequency_validation():
         bin_to_frequency(0, 0, 1.0)
     with pytest.raises(NonPositiveInterval):
         bin_to_frequency(0, 8, 0.0)
+    with pytest.raises(EmptyBins):
+        bin_frequencies(0, 1.0)
+    with pytest.raises(NonPositiveInterval):
+        bin_frequencies(8, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 4096])
+def test_bin_frequencies_equal_per_bin_values(n):
+    for fs in (8.0, 44100.0, 1.0 / 0.3):
+        want = [bin_to_frequency(k, n, fs) for k in range(n)]
+        assert np.array_equal(bin_frequencies(n, fs), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 1024, 7, 1000])
+def test_batched_transform_equals_row_by_row(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, 5, n)) + 1j * rng.standard_normal((3, 5, n))
+    for raw in (_fft_raw, _ifft_raw):
+        got = raw(x)
+        want = np.array([[raw(row) for row in block] for block in x])
+        assert got.shape == x.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, padded", [(256, 256), (1000, 2048)])
+def test_batch_larger_than_one_chunk_equals_row_by_row(n, padded):
+    rng = np.random.default_rng(n)
+    rows = _CHUNK_POINTS // padded + 3
+    x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    got = _fft_raw(x)
+    assert np.array_equal(got, np.array([_fft_raw(row) for row in x]))
 
 
 def test_centered_orders_frequencies():
