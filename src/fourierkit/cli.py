@@ -2,15 +2,19 @@
 
 Reads waveforms from CSV/WAV files or built-in generators, dispatches to the
 library, and writes plain CSV tables (UTF-8, LF, 17 significant digits) that
-plot directly.  Exit status: 0 on success, 1 on runtime errors, 2 on bad
+plot directly, to stdout or to an ``-o`` file that is replaced only by a
+complete table.  Exit status: 0 on success, 1 on runtime errors, 2 on bad
 flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
+import os
+import shutil
 import sys
 import wave
 from typing import Callable
@@ -20,23 +24,62 @@ import numpy as np
 from . import config, sampling, series, timefreq, transforms
 from .core import FourierKitError, GaborAtom, ParseError, Spectrum, Waveform
 
-_FMT = "%.17g"
+# Rows formatted per write: bounds the text held in memory for large tables.
+_BLOCK_ROWS = 8192
 
 
-def _fmt(x: float) -> str:
-    return _FMT % x
+def _replaceable(path: str) -> bool:
+    """Whether ``path`` is new, or a writable regular file with no other hard
+    link in a directory that takes a temporary file beside it.
+
+    Anything else (a device, a FIFO, ``/dev/stdout``, a read-only or
+    hard-linked file) is opened and written in place.
+    """
+    if not os.path.exists(path):
+        return True
+    real = os.path.realpath(path)
+    return (os.path.isfile(real) and os.stat(real).st_nlink == 1
+            and os.access(real, os.W_OK) and os.access(os.path.dirname(real), os.W_OK))
 
 
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    out = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Stdout, or a temporary file beside ``path`` that replaces it once complete."""
+    if not path:
+        yield sys.stdout
+        return
+    if not _replaceable(path):
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            yield out
+        return
+    path = os.path.realpath(path)  # through a symlink, replace the file it names
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    out = open(tmp, "w", encoding="utf-8", newline="")
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row])
-    finally:
-        if path:
-            out.close()
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)  # a replaced file keeps its permissions
+        with out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_table(path: str | None, header: list[str], *columns) -> None:
+    """Write equal-length columns as CSV: integers as %d, floats with 17 digits.
+
+    2-D columns are flattened row-major.  No header or cell contains a comma,
+    quote or newline, so no field needs CSV quoting.
+    """
+    cols = [np.ravel(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
+    with _output(path) as out:
+        out.write(",".join(header) + "\n")
+        for lo in range(0, cols[0].size, _BLOCK_ROWS):
+            block = (c[lo:lo + _BLOCK_ROWS].tolist() for c in cols)
+            out.write("".join(map(row.__mod__, zip(*block))))
 
 
 # ---------------------------------------------------------------------------
@@ -57,47 +100,54 @@ def _read_wav(path: str) -> Waveform:
     return Waveform(pcm, 1.0 / rate, 0.0)
 
 
-def _read_table(path: str) -> tuple[list[str], list[list[float]]]:
+def _read_table(path: str) -> dict[str, np.ndarray]:
+    """Columns of a CSV by header name; every cell must be a finite number."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+        lines = []  # line number of each data row
+
+        def cells():
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"{path}:{lineno}: ragged rows or header/data mismatch")
+                try:
+                    yield from map(float, row)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+                lines.append(lineno)
+
+        values = np.fromiter(cells(), float)
+    if not lines:
         raise ParseError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if widths != {len(header)}:
-        raise ParseError(f"{path}: ragged rows or header/data mismatch")
-    return header, rows
-
-
-def _column(header: list[str], rows: list[list[float]], name: str) -> np.ndarray | None:
-    if name not in header:
-        return None
-    i = header.index(name)
-    return np.array([r[i] for r in rows])
+    table = values.reshape(len(lines), len(header)).T.copy()
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        raise ParseError(f"{path}:{lines[np.argmin(finite)]}: non-finite value")
+    columns: dict[str, np.ndarray] = {}
+    for name, col in zip(header, table):
+        columns.setdefault(name, col)
+    return columns
 
 
 def _read_waveform_csv(path: str, fs: float | None) -> Waveform:
-    header, rows = _read_table(path)
-    re = _column(header, rows, "re")
-    if re is None:
-        raise ParseError(f"{path}: waveform CSV needs a 're' column, got {header}")
-    im = _column(header, rows, "im")
-    samples = re if im is None else re + 1j * im
-    times = _column(header, rows, "time_s")
+    cols = _read_table(path)
+    if "re" not in cols:
+        raise ParseError(f"{path}: waveform CSV needs a 're' column, got {list(cols)}")
+    samples = cols["re"] + 1j * cols["im"] if "im" in cols else cols["re"]
+    times = cols.get("time_s")
     if times is not None and len(times) > 1:
         interval = float(times[1] - times[0])
         start = float(times[0])
+        # the bound also allows for the rounding of large absolute times
+        slack = 1e-6 * abs(interval) + 4.0 * np.spacing(np.abs(times).max())
+        if np.any(np.abs(np.diff(times) - interval) > slack):
+            raise ParseError(f"{path}: time_s is not uniformly spaced")
     elif fs:
         interval, start = 1.0 / fs, 0.0
     else:
@@ -106,19 +156,19 @@ def _read_waveform_csv(path: str, fs: float | None) -> Waveform:
 
 
 def _read_spectrum_csv(path: str, fs: float | None) -> Spectrum:
-    header, rows = _read_table(path)
-    re = _column(header, rows, "re")
-    im = _column(header, rows, "im")
-    if re is None or im is None:
-        raise ParseError(f"{path}: spectrum CSV needs 're' and 'im' columns, got {header}")
-    freqs = _column(header, rows, "freq_hz")
+    cols = _read_table(path)
+    if "re" not in cols or "im" not in cols:
+        raise ParseError(f"{path}: spectrum CSV needs 're' and 'im' columns, got {list(cols)}")
+    bins = cols["re"] + 1j * cols["im"]
+    freqs = cols.get("freq_hz")
     if freqs is not None and len(freqs) > 1:
-        spacing = float(freqs[1] - freqs[0])
+        # bins 0 and 1 are fs/n apart; at n=2 bin 1 is written as -fs/2
+        spacing = abs(float(freqs[1] - freqs[0]))
     elif fs:
-        spacing = fs / len(rows)
+        spacing = fs / len(bins)
     else:
         raise ParseError(f"{path}: no freq_hz column; pass --fs to set the bin spacing")
-    return Spectrum(re + 1j * im, spacing)
+    return Spectrum(bins, spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +254,24 @@ def _cmd_transform(parser, args, settings) -> int:
             parser.error("--inverse needs a spectrum CSV input")
         spec = _read_spectrum_csv(args.input, args.fs)
         w = transforms.idft(spec) if method == "dft" else transforms.ifft(spec)
-        rows = [(i, i * w.sample_interval, v.real, v.imag)
-                for i, v in enumerate(w.samples)]
-        _write_csv(args.output, ["index", "time_s", "re", "im"], rows)
+        _write_waveform(args.output, w)
         return 0
     w = _input_waveform(parser, args)
     s = transforms.dft(w) if method == "dft" else transforms.fft(w)
     n = len(s)
-    fs = s.bin_spacing * n
-    rows = [(k, transforms.bin_to_frequency(k, n, fs), v.real, v.imag,
-             abs(v), math.atan2(v.imag, v.real))
-            for k, v in enumerate(s.bins)]
-    _write_csv(args.output, ["bin", "freq_hz", "re", "im", "mag", "phase"], rows)
+    re, im = s.bins.real, s.bins.imag
+    # np.hypot matches the scalar abs() bit for bit; np.abs and np.arctan2 take
+    # SIMD paths that can differ in the last bit, so the phase uses math.atan2.
+    phase = np.fromiter(map(math.atan2, im.tolist(), re.tolist()), float, n)
+    _write_table(args.output, ["bin", "freq_hz", "re", "im", "mag", "phase"],
+                 np.arange(n), transforms.bin_frequencies(n, s.bin_spacing * n),
+                 re, im, np.hypot(re, im), phase)
     return 0
+
+
+def _write_waveform(path: str | None, w: Waveform) -> None:
+    _write_table(path, ["index", "time_s", "re", "im"],
+                 np.arange(len(w)), w.times, w.samples.real, w.samples.imag)
 
 
 def _series_map(parser, args) -> Callable[[float], float]:
@@ -237,21 +292,15 @@ def _cmd_series(parser, args, settings) -> int:
                                         args.k, qspec)
     if args.synthesize:
         ts = np.linspace(0.0, args.period, args.synthesize, endpoint=False)
-        vals = series.series_synthesize(coeffs, ts)
-        _write_csv(args.output, ["t", "value"], [(float(t), float(v)) for t, v in zip(ts, vals)])
+        _write_table(args.output, ["t", "value"], ts, series.series_synthesize(coeffs, ts))
         return 0
-    rows = [(0, coeffs.a0, 0.0)]
-    rows += [(m, float(coeffs.cosine[m - 1]), float(coeffs.sine[m - 1]))
-             for m in range(1, coeffs.harmonics + 1)]
-    _write_csv(args.output, ["n", "a", "b"], rows)
+    _write_table(args.output, ["n", "a", "b"], np.arange(coeffs.harmonics + 1),
+                 np.r_[coeffs.a0, coeffs.cosine], np.r_[0.0, coeffs.sine])
     return 0
 
 
 def _cmd_sample(parser, args, settings) -> int:
-    w = _generated_waveform(parser, args)
-    rows = [(i, w.start_time + i * w.sample_interval, v.real, v.imag)
-            for i, v in enumerate(w.samples)]
-    _write_csv(args.output, ["index", "time_s", "re", "im"], rows)
+    _write_waveform(args.output, _generated_waveform(parser, args))
     return 0
 
 
@@ -259,34 +308,29 @@ def _cmd_reconstruct(parser, args, settings) -> int:
     w = _input_waveform(parser, args)
     span = w.sample_interval * (len(w) - 1)
     ts = w.start_time + np.linspace(0.0, span, args.grid)
-    rows = []
-    for t in ts:
-        v = sampling.sinc_reconstruct(w, float(t), args.taps)
-        rows.append((float(t), v.real, v.imag))
-    _write_csv(args.output, ["t", "re", "im"], rows)
+    vals = np.array([sampling.sinc_reconstruct(w, t, args.taps) for t in ts.tolist()])
+    _write_table(args.output, ["t", "re", "im"], ts, vals.real, vals.imag)
     return 0
+
+
+def _grid_axes(dist: timefreq.TFDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Time and frequency of each cell of ``dist.values``, flattened row-major."""
+    nt, nf = dist.values.shape
+    return np.repeat(dist.time_axis, nf), np.tile(dist.freq_axis, nt)
 
 
 def _cmd_stft(parser, args, settings) -> int:
     w = _input_waveform(parser, args)
     dist = timefreq.stft(w, args.window_alpha, args.hop, args.frame)
-    rows = []
-    for i, t in enumerate(dist.time_axis):
-        for j, f in enumerate(dist.freq_axis):
-            v = dist.values[i, j]
-            rows.append((float(t), float(f), v.real, v.imag))
-    _write_csv(args.output, ["t", "f", "re", "im"], rows)
+    _write_table(args.output, ["t", "f", "re", "im"], *_grid_axes(dist),
+                 dist.values.real, dist.values.imag)
     return 0
 
 
 def _cmd_wvd(parser, args, settings) -> int:
     w = _input_waveform(parser, args)
     dist = timefreq.wvd(w)
-    rows = []
-    for i, t in enumerate(dist.time_axis):
-        for j, f in enumerate(dist.freq_axis):
-            rows.append((float(t), float(f), float(dist.values[i, j])))
-    _write_csv(args.output, ["t", "f", "value"], rows)
+    _write_table(args.output, ["t", "f", "value"], *_grid_axes(dist), dist.values)
     return 0
 
 
@@ -295,15 +339,13 @@ def _cmd_atoms(parser, args, settings) -> int:
     if args.domain == "time":
         span = 5.0 / atom.alpha
         xs = np.linspace(atom.t0 - span, atom.t0 + span, args.points)
-        vals = [timefreq.gabor_atom_eval(atom, float(x)) for x in xs]
-        _write_csv(args.output, ["t", "re", "im"],
-                   [(float(x), v.real, v.imag) for x, v in zip(xs, vals)])
+        value, axis = timefreq.gabor_atom_eval, "t"
     else:
         span = 5.0 * atom.alpha / math.pi
         xs = np.linspace(atom.f0 - span, atom.f0 + span, args.points)
-        vals = [timefreq.gabor_atom_spectrum(atom, float(x)) for x in xs]
-        _write_csv(args.output, ["f", "re", "im"],
-                   [(float(x), v.real, v.imag) for x, v in zip(xs, vals)])
+        value, axis = timefreq.gabor_atom_spectrum, "f"
+    vals = np.array([value(atom, x) for x in xs.tolist()])
+    _write_table(args.output, [axis, "re", "im"], xs, vals.real, vals.imag)
     return 0
 
 
@@ -311,18 +353,36 @@ def _cmd_atoms(parser, args, settings) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _checked(kind: type, ok: Callable[[float], bool], what: str) -> Callable[[str], float]:
+    """An argparse ``type=`` that parses with ``kind`` and rejects values failing ``ok``."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v > 0, "a positive integer")
+_HARMONIC = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_NON_NEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "a non-negative finite number")
+_FINITE = _checked(float, math.isfinite, "a finite number")
+
+
 def _add_gen_flags(p: argparse.ArgumentParser, with_input: bool = True) -> None:
     if with_input:
         p.add_argument("input", nargs="?", help="input CSV or WAV file")
     p.add_argument("--gen", choices=GENERATORS, help="built-in signal generator")
-    p.add_argument("--n", type=int, default=64, help="sample count for generators")
-    p.add_argument("--fs", type=float, help="sample rate in Hz (generators and raw CSV)")
-    p.add_argument("--f", type=float, help="tone frequency in Hz")
-    p.add_argument("--phase", type=float, help="phase offset in radians")
-    p.add_argument("--f0", type=float, help="start frequency / atom frequency in Hz")
-    p.add_argument("--f1", type=float, help="chirp end frequency in Hz")
-    p.add_argument("--t0", type=float, help="atom center time in seconds")
-    p.add_argument("--alpha", type=float, help="atom width parameter")
+    p.add_argument("--n", type=_COUNT, default=64, help="sample count for generators")
+    p.add_argument("--fs", type=_POSITIVE, help="sample rate in Hz (generators and raw CSV)")
+    p.add_argument("--f", type=_FINITE, help="tone frequency in Hz")
+    p.add_argument("--phase", type=_FINITE, help="phase offset in radians")
+    p.add_argument("--f0", type=_FINITE, help="start frequency / atom frequency in Hz")
+    p.add_argument("--f1", type=_FINITE, help="chirp end frequency in Hz")
+    p.add_argument("--t0", type=_FINITE, help="atom center time in seconds")
+    p.add_argument("--alpha", type=_POSITIVE, help="atom width parameter")
     p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
 
 
@@ -341,11 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="trigonometric series coefficients")
     p.add_argument("--gen", required=True, help="periodic map: square, sine, or dc")
-    p.add_argument("--period", type=float, required=True, help="period in seconds")
-    p.add_argument("--k", type=int, required=True, help="highest harmonic")
-    p.add_argument("--synthesize", type=int, metavar="POINTS",
+    p.add_argument("--period", type=_POSITIVE, required=True, help="period in seconds")
+    p.add_argument("--k", type=_HARMONIC, required=True, help="highest harmonic")
+    p.add_argument("--synthesize", type=_COUNT, metavar="POINTS",
                    help="emit the partial sum on a grid instead of coefficients")
-    p.add_argument("--tolerance", type=float, help="quadrature tolerance per coefficient")
+    p.add_argument("--tolerance", type=_POSITIVE, help="quadrature tolerance per coefficient")
     p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
     p.set_defaults(run=_cmd_series)
 
@@ -355,16 +415,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="truncated sinc interpolation table")
     _add_gen_flags(p)
-    p.add_argument("--taps", type=int, default=64, help="samples used per side")
-    p.add_argument("--grid", type=int, default=257, help="output grid size")
+    p.add_argument("--taps", type=_COUNT, default=64, help="samples used per side")
+    p.add_argument("--grid", type=_COUNT, default=257, help="output grid size")
     p.set_defaults(run=_cmd_reconstruct)
 
     p = sub.add_parser("stft", help="short-time spectra under a Gaussian window")
     _add_gen_flags(p)
-    p.add_argument("--window-alpha", type=float, default=0.0,
+    p.add_argument("--window-alpha", type=_NON_NEGATIVE, default=0.0,
                    help="Gaussian window width parameter (0 = flat)")
-    p.add_argument("--hop", type=int, required=True, help="frame advance in samples")
-    p.add_argument("--frame", type=int, required=True, help="frame length in samples")
+    p.add_argument("--hop", type=_COUNT, required=True, help="frame advance in samples")
+    p.add_argument("--frame", type=_COUNT, required=True, help="frame length in samples")
     p.set_defaults(run=_cmd_stft)
 
     p = sub.add_parser("wvd", help="time-frequency distribution table")
@@ -372,12 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_wvd)
 
     p = sub.add_parser("atoms", help="Gabor atom waveform or spectrum table")
-    p.add_argument("--t0", type=float, required=True, help="center time in seconds")
-    p.add_argument("--f0", type=float, required=True, help="center frequency in Hz")
-    p.add_argument("--alpha", type=float, required=True, help="width parameter")
-    p.add_argument("--phase", type=float, help="phase offset in radians")
+    p.add_argument("--t0", type=_FINITE, required=True, help="center time in seconds")
+    p.add_argument("--f0", type=_FINITE, required=True, help="center frequency in Hz")
+    p.add_argument("--alpha", type=_POSITIVE, required=True, help="width parameter")
+    p.add_argument("--phase", type=_FINITE, help="phase offset in radians")
     p.add_argument("--domain", choices=("time", "freq"), default="time")
-    p.add_argument("--points", type=int, default=257, help="grid size")
+    p.add_argument("--points", type=_COUNT, default=257, help="grid size")
     p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
     p.set_defaults(run=_cmd_atoms)
 
