@@ -293,9 +293,16 @@ def _cmd_series(parser, args, settings) -> int:
     if args.synthesize:
         ts = np.linspace(0.0, args.period, args.synthesize, endpoint=False)
         _write_table(args.output, ["t", "value"], ts, series.series_synthesize(coeffs, ts))
-        return 0
-    _write_table(args.output, ["n", "a", "b"], np.arange(coeffs.harmonics + 1),
-                 np.r_[coeffs.a0, coeffs.cosine], np.r_[0.0, coeffs.sine])
+    else:
+        _write_table(args.output, ["n", "a", "b"], np.arange(coeffs.harmonics + 1),
+                     np.r_[coeffs.a0, coeffs.cosine], np.r_[0.0, coeffs.sine])
+    missed = [i for i, ok in enumerate(coeffs.converged) if not ok]
+    if missed:
+        k = coeffs.harmonics
+        names = ", ".join(f"a{i}" if i <= k else f"b{i - k}" for i in missed[:5])
+        more = ", ..." if len(missed) > 5 else ""
+        print(f"fourierkit: warning: {len(missed)} of {2 * k + 1} coefficients missed "
+              f"tolerance {tol:g} ({names}{more})", file=sys.stderr)
     return 0
 
 

@@ -171,9 +171,9 @@ class ImpulseTrain:
         pairs = tuple(sorted(pairs, key=lambda p: p[0]))
         locs = [p[0] for p in pairs]
         if len(set(locs)) != len(locs):
-            raise ValueError("impulse locations must be distinct")
+            raise InvalidParameter("impulse locations must be distinct")
         if self.domain not in (TIME, FREQUENCY):
-            raise ValueError(f"domain must be 'time' or 'frequency', got {self.domain!r}")
+            raise InvalidParameter(f"domain must be 'time' or 'frequency', got {self.domain!r}")
         object.__setattr__(self, "impulses", pairs)
 
     def locations(self) -> np.ndarray:
@@ -204,7 +204,7 @@ class SegmentedFunction:
                 raise NonPositiveInterval(f"segment ({a}, {b}) has nonpositive length")
         for (_, b0, _), (a1, _, _) in zip(segs, segs[1:]):
             if a1 < b0:
-                raise ValueError("segments overlap")
+                raise InvalidParameter("segments overlap")
         object.__setattr__(self, "segments", segs)
 
 
@@ -240,7 +240,7 @@ class GaborAtom:
 
     def __post_init__(self):
         if not (self.alpha > 0.0):
-            raise ValueError(f"alpha must be > 0, got {self.alpha!r}")
+            raise InvalidParameter(f"alpha must be > 0, got {self.alpha!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +265,7 @@ class TFDistribution:
                 f"values shape {vals.shape} does not match axes ({ta.size}, {fa.size})"
             )
         if self.kind not in ("stft-complex", "wvd-real"):
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise InvalidParameter(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "values", _frozen(vals))
         object.__setattr__(self, "time_axis", _frozen(ta))
         object.__setattr__(self, "freq_axis", _frozen(fa))

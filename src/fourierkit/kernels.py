@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ImpulseTrain, NonPositiveInterval, TIME
+from .core import ImpulseTrain, InvalidParameter, NonPositiveInterval, TIME
 
 # Below this, sin(theta/2) is treated as zero and the kernel's limit is used.
 _SINGULAR = 1e-12
@@ -27,7 +27,7 @@ def _match(x, out):
 def dirichlet_sum(i: int, theta) -> float:
     """Truncated cosine kernel 1/2 + sum_{m=1..i} cos(m*theta)."""
     if i < 0:
-        raise ValueError(f"order must be >= 0, got {i}")
+        raise InvalidParameter(f"order must be >= 0, got {i}")
     th = np.asarray(theta, dtype=float)
     if i == 0:
         return _match(theta, np.full(th.shape, 0.5))
@@ -47,7 +47,7 @@ def dirichlet_closed(i: int, theta) -> float:
     quotient is replaced by its limit i + 1/2.
     """
     if i < 0:
-        raise ValueError(f"order must be >= 0, got {i}")
+        raise InvalidParameter(f"order must be >= 0, got {i}")
     th = np.asarray(theta, dtype=float)
     ph = th - 2.0 * np.pi * np.round(th / (2.0 * np.pi))
     half = np.sin(ph / 2.0)
@@ -94,7 +94,7 @@ def make_comb(period: float, count: int, weight: complex = 1.0, domain: str = TI
     if not period > 0.0:
         raise NonPositiveInterval(f"period must be > 0, got {period!r}")
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise InvalidParameter(f"count must be >= 1, got {count}")
     return ImpulseTrain(tuple((k * period, weight) for k in range(count)), domain=domain)
 
 

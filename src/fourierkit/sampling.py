@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import (
     ImpulseTrain,
+    InvalidParameter,
     LengthMismatch,
     NonFiniteSample,
     NonPositiveInterval,
@@ -33,7 +34,7 @@ def sample(map: Callable[[float], complex], sample_interval: float, count: int,
     if not sample_interval > 0.0:
         raise NonPositiveInterval(f"sample_interval must be > 0, got {sample_interval!r}")
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise InvalidParameter(f"count must be >= 1, got {count}")
     ts = start_time + sample_interval * np.arange(count)
     try:
         vals = np.asarray(map(ts), dtype=np.complex128)
@@ -106,7 +107,7 @@ def sinc_reconstruct(w: Waveform, t: float, taps: int) -> complex:
     """
     validate_waveform(w)
     if taps < 1:
-        raise ValueError(f"taps must be >= 1, got {taps}")
+        raise InvalidParameter(f"taps must be >= 1, got {taps}")
     pos = (float(t) - w.start_time) / w.sample_interval
     anchor = int(np.floor(pos))
     lo = max(0, anchor - taps + 1)
@@ -129,7 +130,7 @@ def sample_spectrum(spectrum_map: Callable[[float], complex], bin_spacing: float
     if not bin_spacing > 0.0:
         raise NonPositiveInterval(f"bin_spacing must be > 0, got {bin_spacing!r}")
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise InvalidParameter(f"count must be >= 1, got {count}")
     ks = np.arange(-(count // 2), count - count // 2)
     weights = np.array([complex(spectrum_map(k * bin_spacing)) for k in ks])
     train = ImpulseTrain(tuple(zip((ks * bin_spacing).tolist(), weights.tolist())),

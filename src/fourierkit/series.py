@@ -2,9 +2,12 @@
 
 Coefficients follow the mean-plus-harmonics normalization: a0 is the mean
 over one period, a_n and b_n carry the factor 2/period.  Integrals run over
-[0, period] by composite Simpson quadrature on a grid sized to resolve the
-highest requested harmonic, refined by doubling until every coefficient
-passes the tolerance or the panel budget is reached.  Synthesis is the plain
+[0, period] by composite Simpson quadrature on a uniform grid of a power of
+two panels sized to resolve the highest requested harmonic.  On that grid
+all 2K+1 weighted sums are one DFT of the Simpson-weighted samples, taken by
+the radix-2 core of ``transforms``.  The grid is refined by doubling, which
+keeps every sample taken so far, until every coefficient passes the
+tolerance or the panel budget is reached.  Synthesis is the plain
 finite partial sum, so jump behavior (midpoint convergence, overshoot) is
 faithful rather than smoothed away.
 """
@@ -16,8 +19,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import NonPositiveInterval
-from .transforms import QuadratureSpec
+from .core import InvalidParameter, NonPositiveInterval
+from .transforms import QuadratureSpec, _fft_raw
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +41,7 @@ class SeriesCoefficients:
         cos = np.asarray(self.cosine, dtype=float).reshape(-1)
         sin = np.asarray(self.sine, dtype=float).reshape(-1)
         if cos.size != sin.size:
-            raise ValueError("cosine and sine coefficient counts differ")
+            raise InvalidParameter("cosine and sine coefficient counts differ")
         if not self.period > 0.0:
             raise NonPositiveInterval(f"period must be > 0, got {self.period!r}")
         cos.setflags(write=False)
@@ -81,57 +84,67 @@ def _eval_on_grid(map: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     return np.array([float(map(float(x))) for x in xs], dtype=float)
 
 
-def _simpson_nodes(lower: float, upper: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite Simpson rule with ``panels`` panels."""
-    count = 2 * panels + 1
-    xs = np.linspace(lower, upper, count)
-    h = (upper - lower) / panels
-    w = np.full(count, 2.0 * h / 6.0)
-    w[1::2] = 4.0 * h / 6.0
-    w[0] = w[-1] = h / 6.0
-    return xs, w
+def _refine(map: Callable[[float], float], span: float, k: int, per_harmonic: int,
+            spec: QuadratureSpec | None, periodic: bool,
+            read: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """Richardson-refined coefficients ``read(c)`` of ``map`` on [0, span],
+    with converged flags: () or one per read coefficient.
 
-
-def _coefficient_vector(map, period: float, k: int, panels: int) -> np.ndarray:
-    """All 2K+1 coefficient integrals on one Simpson grid, as one matvec."""
-    xs, wts = _simpson_nodes(0.0, period, panels)
-    fw = _eval_on_grid(map, xs) * wts
-    angles = np.multiply.outer(np.arange(1, k + 1), xs) * (2.0 * np.pi / period)
-    out = np.empty(2 * k + 1)
-    out[0] = fw.sum() / period
-    out[1:k + 1] = (np.cos(angles) @ fw) * (2.0 / period)
-    out[k + 1:] = (np.sin(angles) @ fw) * (2.0 / period)
-    return out
+    c[m] = (2/span) * integral of map(x) exp(-2 pi i m x / L) over [0, span]
+    for m = 0..k, L = span when ``periodic`` and 2 * span otherwise, with
+    c[0] halved to the mean.  On P Simpson panels these are one DFT of the
+    weighted samples: length 2P with the node at ``span`` folded onto node 0
+    when periodic, zero-padded to 4P otherwise.  P starts at
+    ``per_harmonic`` panels per harmonic (at least 64) rounded up to a power
+    of two, so the transform stays radix-2, capped at the budget.  Each
+    doubling keeps the samples taken so far and evaluates only the new
+    midpoints.
+    """
+    spec = spec or QuadratureSpec(0.0, 1.0)
+    tol, max_panels = spec.abs_tolerance, spec.max_subdivisions
+    panels = min(1 << (max(64, per_harmonic * k) - 1).bit_length(), max_panels)
+    samples = _eval_on_grid(map, np.linspace(0.0, span, 2 * panels + 1))
+    coarse = None
+    while True:
+        # Simpson weights 1 4 2 ... 2 4 1, times 6P/span: exact in floating point
+        weighted = samples * np.r_[1.0, np.tile([4.0, 2.0], panels)[:-1], 1.0]
+        if periodic:
+            weighted[0] += weighted[-1]
+            spectrum = _fft_raw(weighted[:-1])
+        else:
+            spectrum = _fft_raw(np.r_[weighted, np.zeros(2 * panels - 1)])
+        c = spectrum.take(np.arange(k + 1), mode="wrap") / (3.0 * panels)
+        c[0] /= 2.0
+        fine = read(c)
+        if coarse is not None:
+            est = np.abs(fine - coarse) / 15.0
+            done = bool(np.all(est <= tol))
+            if done or 2 * panels > max_panels:  # no budget for another doubling
+                flags = () if done else tuple(bool(e <= tol) for e in est)
+                return fine + (fine - coarse) / 15.0, flags
+        coarse = fine
+        finer = np.empty(4 * panels + 1)
+        finer[0::2] = samples
+        finer[1::2] = _eval_on_grid(map, np.arange(1, 4 * panels, 2) * (span / (4 * panels)))
+        samples, panels = finer, 2 * panels
 
 
 def series_coefficients(map: Callable[[float], float], period: float, k: int,
                         spec: QuadratureSpec | None = None) -> SeriesCoefficients:
     """Analyze one period of ``map`` into harmonics 0..k.
 
-    The grid starts at 64 panels per highest harmonic and doubles until the
-    Richardson error estimate of every coefficient is within tolerance or
-    ``spec.max_subdivisions`` panels would be exceeded; unmet coefficients
-    are flagged in ``converged`` rather than raised.
+    The grid starts at 64 panels per highest harmonic, rounded up to a power
+    of two, and doubles until the Richardson error estimate of every
+    coefficient is within tolerance or ``spec.max_subdivisions`` panels
+    would be exceeded; unmet coefficients are flagged in ``converged``
+    rather than raised.
     """
     if not period > 0.0:
         raise NonPositiveInterval(f"period must be > 0, got {period!r}")
     if k < 0:
-        raise ValueError(f"harmonic count must be >= 0, got {k}")
-    tol, max_panels = _quad_settings(spec)
-
-    panels = min(max(64, 64 * k), max_panels)
-    coarse = _coefficient_vector(map, period, k, panels)
-    while True:
-        fine = _coefficient_vector(map, period, k, 2 * panels)
-        est = np.abs(fine - coarse) / 15.0
-        done = bool(np.all(est <= tol))
-        if done or 4 * panels > max_panels:
-            flags = () if done else tuple(bool(e <= tol) for e in est)
-            refined = fine + (fine - coarse) / 15.0
-            return SeriesCoefficients(refined[0], refined[1:k + 1], refined[k + 1:],
-                                      period, flags)
-        panels *= 2
-        coarse = fine
+        raise InvalidParameter(f"harmonic count must be >= 0, got {k}")
+    v, flags = _refine(map, period, k, 64, spec, True, lambda c: np.r_[c.real, -c.imag[1:]])
+    return SeriesCoefficients(v[0], v[1:k + 1], v[k + 1:], period, flags)
 
 
 def half_series_coefficients(map: Callable[[float], float], extent: float, kind: str,
@@ -140,55 +153,20 @@ def half_series_coefficients(map: Callable[[float], float], extent: float, kind:
 
     kind "cosine" uses the even extension (a0 and cosines, sines zero);
     kind "sine" uses the odd extension (sines only).  The result has period
-    2 * extent.
+    2 * extent.  The grid starts at 32 panels per highest harmonic and is
+    refined as in ``series_coefficients``.
     """
     if kind not in ("cosine", "sine"):
-        raise ValueError(f"kind must be 'cosine' or 'sine', got {kind!r}")
+        raise InvalidParameter(f"kind must be 'cosine' or 'sine', got {kind!r}")
     if not extent > 0.0:
         raise NonPositiveInterval(f"extent must be > 0, got {extent!r}")
     if k < 0:
-        raise ValueError(f"harmonic count must be >= 0, got {k}")
-    tol, max_panels = _quad_settings(spec)
-
-    def integrals(panels: int) -> np.ndarray:
-        xs, wts = _simpson_nodes(0.0, extent, panels)
-        fw = _eval_on_grid(map, xs) * wts
-        angles = np.multiply.outer(np.arange(1, k + 1), xs) * (np.pi / extent)
-        out = np.empty(k + 1)
-        if kind == "cosine":
-            out[0] = fw.sum() / extent
-            out[1:] = (np.cos(angles) @ fw) * (2.0 / extent)
-        else:
-            out[0] = 0.0
-            out[1:] = (np.sin(angles) @ fw) * (2.0 / extent)
-        return out
-
-    panels = min(max(64, 32 * k), max_panels)
-    coarse = integrals(panels)
-    while True:
-        fine = integrals(2 * panels)
-        est = np.abs(fine - coarse) / 15.0
-        done = bool(np.all(est <= tol))
-        if done or 4 * panels > max_panels:
-            refined = fine + (fine - coarse) / 15.0
-            zeros = np.zeros(k)
-            if kind == "cosine":
-                coeffs = SeriesCoefficients(refined[0], refined[1:], zeros, 2.0 * extent)
-            else:
-                coeffs = SeriesCoefficients(0.0, zeros, refined[1:], 2.0 * extent)
-            if not done:
-                flags = tuple(bool(e <= tol) for e in est)
-                coeffs = SeriesCoefficients(coeffs.a0, coeffs.cosine, coeffs.sine,
-                                            coeffs.period, flags)
-            return coeffs
-        panels *= 2
-        coarse = fine
-
-
-def _quad_settings(spec: QuadratureSpec | None) -> tuple[float, int]:
-    if spec is None:
-        spec = QuadratureSpec(0.0, 1.0)
-    return spec.abs_tolerance, spec.max_subdivisions
+        raise InvalidParameter(f"harmonic count must be >= 0, got {k}")
+    if kind == "cosine":
+        v, flags = _refine(map, extent, k, 32, spec, False, lambda c: c.real)
+        return SeriesCoefficients(v[0], v[1:], np.zeros(k), 2.0 * extent, flags)
+    v, flags = _refine(map, extent, k, 32, spec, False, lambda c: np.r_[0.0, -c.imag[1:]])
+    return SeriesCoefficients(0.0, np.zeros(k), v[1:], 2.0 * extent, flags)
 
 
 def series_synthesize(c: SeriesCoefficients, t) -> float:

@@ -26,6 +26,7 @@ from .config import MAX_SUBDIVISIONS, QUADRATURE_TOLERANCE
 from .core import (
     EmptyBins,
     IndexOutOfRange,
+    InvalidParameter,
     NonPositiveInterval,
     Spectrum,
     ToleranceNotReached,
@@ -277,11 +278,11 @@ class QuadratureSpec:
         if not self.lower < self.upper:
             raise NonPositiveInterval(f"need lower < upper, got [{self.lower}, {self.upper}]")
         if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
+            raise InvalidParameter(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
         if not self.abs_tolerance > 0.0:
-            raise ValueError(f"abs_tolerance must be > 0, got {self.abs_tolerance!r}")
+            raise InvalidParameter(f"abs_tolerance must be > 0, got {self.abs_tolerance!r}")
         if self.damping < 0.0:
-            raise ValueError(f"damping must be >= 0, got {self.damping!r}")
+            raise InvalidParameter(f"damping must be >= 0, got {self.damping!r}")
 
 
 @dataclass(frozen=True)
@@ -362,7 +363,7 @@ def quad_ft(map: Callable[[float], complex], f: float, spec: QuadratureSpec,
     ``converged = False`` rather than raising.
     """
     if direction not in (FORWARD, INVERSE):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        raise InvalidParameter(f"direction must be 'forward' or 'inverse', got {direction!r}")
     sign = -2j * np.pi * f if direction == FORWARD else 2j * np.pi * f
     damping = spec.damping
 
@@ -386,7 +387,7 @@ def half_transform(map: Callable[[float], float], q: float, kind: str,
     to spec.upper; raises ToleranceNotReached if the budget runs out.
     """
     if kind not in (COSINE, SINE):
-        raise ValueError(f"kind must be 'cosine' or 'sine', got {kind!r}")
+        raise InvalidParameter(f"kind must be 'cosine' or 'sine', got {kind!r}")
     kernel = math.cos if kind == COSINE else math.sin
     damping = spec.damping
     lower = max(0.0, spec.lower)

@@ -220,6 +220,28 @@ def test_series_synthesize_grid(capsys):
     assert np.max(np.abs(rows[:, 1] - want)) <= 1e-6
 
 
+def test_series_warns_on_stderr_when_coefficients_miss_the_tolerance(capsys):
+    # 1e-300 can only be met by a grid doubling that changes no bit, and on
+    # this map some coefficients keep moving in the last bits
+    argv = ["series", "--gen", "sine", "--period", "1", "--k", "3", "--tolerance", "1e-300"]
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    spec = QuadratureSpec(0.0, 1.0, abs_tolerance=1e-300)
+    c = series_coefficients(lambda t: math.sin(2.0 * math.pi * t / 1.0), 1.0, 3, spec)
+    missed = [i for i, ok in enumerate(c.converged) if not ok]
+    assert missed
+    rows = [(0, c.a0, 0.0)] + [(m, float(c.cosine[m - 1]), float(c.sine[m - 1]))
+                               for m in range(1, 4)]
+    assert out == _reference_table(["n", "a", "b"], rows)
+    names = ["a0", "a1", "a2", "a3", "b1", "b2", "b3"]
+    listed = ", ".join(names[i] for i in missed[:5]) + (", ..." if len(missed) > 5 else "")
+    assert err == (f"fourierkit: warning: {len(missed)} of 7 coefficients missed "
+                   f"tolerance 1e-300 ({listed})\n")
+
+    code, _, err = run(argv[:-2], capsys)
+    assert code == 0 and err == ""
+
+
 # ---------------------------------------------------------------------------
 # sample / reconstruct commands
 # ---------------------------------------------------------------------------

@@ -90,6 +90,42 @@ def test_errors_subclass_builtin_families():
     assert issubclass(ZeroEnergy, ValueError)
 
 
+def test_bad_arguments_raise_invalid_parameter():
+    from fourierkit import (InvalidParameter, QuadratureSpec, SeriesCoefficients,
+                            dirichlet_closed, dirichlet_sum, half_series_coefficients,
+                            half_transform, make_comb, quad_ft, sample, sample_spectrum,
+                            series_coefficients, sinc_reconstruct)
+    f = lambda x: 1.0  # noqa: E731
+    window = QuadratureSpec(0.0, 1.0)
+    calls = [
+        lambda: series_coefficients(f, 1.0, -1),
+        lambda: half_series_coefficients(f, 1.0, "both", 3),
+        lambda: half_series_coefficients(f, 1.0, "sine", -1),
+        lambda: SeriesCoefficients(0.0, [1.0, 2.0], [1.0], period=1.0),
+        lambda: sample(f, 1.0, 0),
+        lambda: sample_spectrum(f, 1.0, 0),
+        lambda: sinc_reconstruct(Waveform(np.ones(4), 1.0), 0.5, 0),
+        lambda: dirichlet_sum(-1, 0.3),
+        lambda: dirichlet_closed(-1, 0.3),
+        lambda: make_comb(1.0, 0),
+        lambda: ImpulseTrain(((1.0, 1.0), (1.0, 2.0))),
+        lambda: ImpulseTrain(((0.0, 1.0),), domain="space"),
+        lambda: SegmentedFunction(((0.0, 2.0, f), (1.0, 3.0, f))),
+        lambda: GaborAtom(0.0, 1.0, 0.0),
+        lambda: TFDistribution(np.zeros((1, 1)), [0.0], [0.0], kind="scalogram"),
+        lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=0),
+        lambda: QuadratureSpec(0.0, 1.0, abs_tolerance=0.0),
+        lambda: QuadratureSpec(0.0, 1.0, damping=-1.0),
+        lambda: quad_ft(f, 1.0, window, direction="sideways"),
+        lambda: half_transform(f, 1.0, "both", window),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameter) as info:
+            call()
+        assert isinstance(info.value, FourierKitError)
+        assert isinstance(info.value, ValueError)
+
+
 def test_spectrum_basics():
     s = Spectrum([1.0, 2.0j, -1.0], 0.5)
     assert len(s) == 3

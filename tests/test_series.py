@@ -210,3 +210,104 @@ def test_from_complex_fills_missing_harmonics_with_zero():
     assert c.cosine[2] == pytest.approx(1.0)
     assert c.cosine[0] == 0.0 and c.cosine[1] == 0.0
     assert np.max(np.abs(c.sine)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the DFT refinement against the composite Simpson matvec it replaces
+# ---------------------------------------------------------------------------
+
+def _simpson_matvec(map, span, k, panels, kind):
+    """Reference coefficient integrals on one Simpson grid: cos/sin(angles) @ (f*w).
+
+    kind "full" returns a0, a_1..a_k, b_1..b_k for period ``span``; "cosine"
+    and "sine" return the k+1 half-range integrals over [0, span].
+    """
+    xs = np.linspace(0.0, span, 2 * panels + 1)
+    h = span / panels
+    w = np.full(xs.size, 2.0 * h / 6.0)
+    w[1::2] = 4.0 * h / 6.0
+    w[0] = w[-1] = h / 6.0
+    try:
+        f = np.asarray(map(xs), dtype=float)
+        assert f.shape == xs.shape
+    except (TypeError, ValueError):
+        f = np.array([float(map(float(x))) for x in xs])
+    fw = f * w
+    scale = 2.0 * np.pi / span if kind == "full" else np.pi / span
+    angles = np.multiply.outer(np.arange(1, k + 1), xs) * scale
+    cos = (np.cos(angles) @ fw) * (2.0 / span)
+    sin = (np.sin(angles) @ fw) * (2.0 / span)
+    if kind == "full":
+        return np.r_[fw.sum() / span, cos, sin]
+    if kind == "cosine":
+        return np.r_[fw.sum() / span, cos]
+    return np.r_[0.0, sin]
+
+
+def _rectifier(t):
+    return np.abs(np.sin(np.pi * np.asarray(t, dtype=float)))
+
+
+@pytest.mark.parametrize("kind, map, span, k, max_panels", [
+    ("full", _rectifier, 1.0, 20, 4000),                                 # vectorized
+    ("full", lambda t: math.exp(math.cos(2.0 * math.pi * t / 1.7)), 1.7, 9, 2047),
+    ("full", square_wave, 1.0, 9, 300),                                  # Bluestein
+    ("full", lambda t: abs(t - 0.4), 1.0, 9, 2),                         # k past the grid
+    ("cosine", lambda x: math.exp(-x), 2.2, 12, 1000),                   # scalar
+    ("cosine", lambda x: np.exp(-x), 1.3, 15, 300),                      # Bluestein
+    ("sine", lambda x: np.exp(-x) * (1.0 + x), 1.3, 15, 1023),           # vectorized
+    ("sine", lambda x: math.exp(-x), 2.2, 12, 300),                      # Bluestein
+])
+def test_dft_refinement_matches_simpson_matvec(kind, map, span, k, max_panels):
+    # max_panels < 4 P stops the loop after one doubling, so the result is
+    # the Richardson step between P and 2 P panels.
+    per_harmonic = 64 if kind == "full" else 32
+    first = 64
+    while first < per_harmonic * k:
+        first *= 2
+    panels = min(first, max_panels)
+    assert 4 * panels > max_panels
+    coarse = _simpson_matvec(map, span, k, panels, kind)
+    fine = _simpson_matvec(map, span, k, 2 * panels, kind)
+    ref = fine + (fine - coarse) / 15.0
+
+    spec = QuadratureSpec(0.0, 1.0, max_subdivisions=max_panels)
+    if kind == "full":
+        c = series_coefficients(map, span, k, spec)
+        got = np.r_[c.a0, c.cosine, c.sine]
+    else:
+        c = half_series_coefficients(map, span, kind, k, spec)
+        got = np.r_[c.a0, c.cosine if kind == "cosine" else c.sine]
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("kind", ["full", "cosine", "sine"])
+def test_each_node_of_the_finest_grid_is_evaluated_once(kind):
+    seen = []
+
+    def wave(t):
+        value = math.cos(2.0 * math.pi * t / 1.5)  # a TypeError for arrays
+        seen.append(t)
+        return value
+
+    if kind == "full":
+        c = series_coefficients(wave, 1.5, 3)
+        panels = 256  # 64 per harmonic, rounded up to a power of two
+    else:
+        c = half_series_coefficients(wave, 1.5, kind, 3)
+        panels = 128  # 32 per harmonic, rounded up to a power of two
+    assert c.converged == ()
+    # the first grid, then only the midpoints of one doubling: 4 P + 1 calls
+    assert len(seen) == 4 * panels + 1
+    assert seen[:2 * panels + 1] == np.linspace(0.0, 1.5, 2 * panels + 1).tolist()
+    assert sorted(seen) == np.linspace(0.0, 1.5, 4 * panels + 1).tolist()
+
+
+@pytest.mark.parametrize("kind", ["cosine", "sine"])
+def test_half_range_unmet_tolerance_sets_flags(kind):
+    spec = QuadratureSpec(0.0, 1.0, max_subdivisions=80, abs_tolerance=1e-14)
+    c = half_series_coefficients(lambda x: abs(x - 0.3), 1.0, kind, 4, spec)
+    assert len(c.converged) == 5  # a0 and four harmonics
+    assert False in c.converged
+    if kind == "sine":
+        assert c.converged[0]  # the mean of an odd extension is exactly zero
