@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 
+from .core import ParseError
+
 DISCRETE_TOLERANCE = 1e-9
 QUADRATURE_TOLERANCE = 1e-6
 MAX_SUBDIVISIONS = 100_000
@@ -26,7 +28,8 @@ def load_config(path: str | None = None) -> dict[str, str]:
     """Read key=value pairs from ``path`` or from $FOURIERKIT_CONFIG.
 
     Missing file name means no overrides.  Blank lines and '#' comments are
-    skipped.  Unknown keys raise ValueError so typos do not silently pass.
+    skipped.  A line without '=' or an unknown key raises ParseError, so typos
+    do not silently pass.
     """
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
@@ -39,9 +42,9 @@ def load_config(path: str | None = None) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+                raise ParseError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in VALID_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
             settings[key] = value
     return settings

@@ -2,10 +2,11 @@
 
 Discrete side: ``dft`` is the direct O(N^2) summation and is kept as the
 reference path; ``fft`` runs one batched core that transforms the last axis
-of a (..., N) array: an iterative radix-2 transform with cached twiddle
-tables, falling back to a chirp convolution for lengths that are not powers
-of two.  The time-frequency layer hands it all of its frames in one call.
-Forward transforms are unscaled, inverses carry 1/N.
+of a (..., N) array: a power-of-two transform in radix-16 stages, each one
+stacked matrix product with the 16-point DFT matrix plus twiddles from small
+cached tables, falling back to a chirp convolution for lengths that are not
+powers of two.  The time-frequency layer hands it all of its frames in one
+call.  Forward transforms are unscaled, inverses carry 1/N.
 
 Continuous side: ``quad_ft`` integrates map(t) * exp(-+ i 2 pi f t) with an
 adaptive Simpson rule, with an optional exponential damping factor for
@@ -82,10 +83,23 @@ def idft(s: Spectrum) -> Waveform:
     return Waveform(samples, sample_interval=1.0 / (n * s.bin_spacing))
 
 
+# Radix of every stage of the power-of-two kernel but the last, which takes
+# the remaining 2, 4, 8 or 16 points.
+_RADIX = 16
+
+
 @lru_cache(maxsize=64)
-def _halfturn(m: int) -> np.ndarray:
-    """Twiddle table exp(-i pi k / m), k = 0..m-1, immutable once built."""
-    w = np.exp(-1j * np.pi * np.arange(m) / m)
+def _twiddle(m: int, rows: int, step: int, r: int) -> np.ndarray:
+    """Table exp(-i 2 pi (j * step * k mod m) / m) of shape (r, rows), indexed
+    [k, j], immutable once built; ``_twiddle(r, r, 1, r)`` is the r-point DFT
+    matrix.  The angle is reduced in integers to the nearest quarter turn,
+    whose factor is exact, and a remainder of at most an eighth of a turn."""
+    j = np.arange(rows, dtype=np.int64)
+    k = np.arange(r, dtype=np.int64)
+    q = 4 * ((k[:, None] * (j * step)) % m)
+    quarter = (q + m // 2) // m
+    w = np.exp((-2j * np.pi / (4 * m)) * (q - quarter * m))
+    w *= np.array([1.0, -1j, -1.0, 1j])[quarter % 4]
     w.setflags(write=False)
     return w
 
@@ -110,35 +124,43 @@ def _by_chunks(kernel: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 transform of the last axis, whose length n must be
-    a power of two.
+    """Cooley-Tukey transform of the last axis, whose length n must be a
+    power of two, in stages of radix 16 (the last stage takes the remainder).
 
-    Each row passes through stages of (rows, cols) blocks, rows * cols = n,
-    starting at (1, n): a stage splits every block row into halves and
-    stacks even + odd * w and even - odd * w, w = exp(-i pi r / rows).
-    Stages alternate between two preallocated buffers.  Once rows >= cols a
-    stage is stored as (cols, rows), so the innermost loop always runs over
-    the longer axis, and the last stage (n, 1) is the output row in order.
+    A stage sees each row as (t1, t2, done): t1 the leading time digit of
+    radix r, t2 the rest of the sub-transform's time index, and done the
+    output digits found so far.  One stacked matmul with the r-point DFT
+    matrix contracts t1 into the output digit k1.  The twiddles
+    exp(-i 2 pi t2 k1 / m) of the length-m sub-transform then apply in place
+    as two small factors, split at the next stage's leading digit of t2, and
+    one copy stores the row as (t2, k1, done) so that digit leads.  The last
+    stage needs no twiddles and leaves the row in natural order.  Every
+    stage writes into the same two preallocated buffers.  The batch stays
+    out of the matmul's column count: every row runs the same BLAS call, so
+    a batch gives the bits of row-by-row calls.
     """
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
-    src = x.reshape(-1, 1, n)
-    batch = src.shape[0]
-    store, spare = (np.empty(batch * n, dtype=np.complex128) for _ in range(2))
-    rows, cols = 1, n
-    while cols > 1:
-        half = cols // 2
-        if 2 * rows >= half:
-            dst = store.reshape(batch, half, 2 * rows).transpose(0, 2, 1)
-        else:
-            dst = store.reshape(batch, 2 * rows, half)
-        even, low, high = src[:, :, :half], dst[:, :rows], dst[:, rows:]
-        np.multiply(src[:, :, half:], _halfturn(rows)[:, None], out=high)
-        np.add(even, high, out=low)
-        np.subtract(even, high, out=high)
-        src, rows, cols = dst, 2 * rows, half
-        store, spare = spare, store
-    return src.reshape(x.shape)
+    batch = x.size // n
+    src = x.reshape(batch, n)
+    spec, store = (np.empty((batch, n), dtype=np.complex128) for _ in range(2))
+    m, done = n, 1
+    while True:
+        r = min(_RADIX, m)
+        np.matmul(_twiddle(r, r, 1, r), src.reshape(batch, r, n // r),
+                  out=spec.reshape(batch, r, n // r))
+        rest = m // r
+        if rest == 1:
+            return spec.reshape(x.shape)
+        lead = min(_RADIX, rest)
+        low = rest // lead
+        y = spec.reshape(batch, r, lead, low, done)
+        y *= _twiddle(m, lead, low, r)[:, :, None, None]
+        y *= _twiddle(m, low, 1, r)[:, None, :, None]
+        # a plain copy moves the digit; a ufunc writing through the transposed
+        # view is several times slower on large rows
+        np.copyto(store.reshape(batch, lead, low, r, done).transpose(0, 3, 1, 2, 4), y)
+        src, m, done = store, rest, done * r
 
 
 def _bluestein(x: np.ndarray) -> np.ndarray:
@@ -154,17 +176,21 @@ def _bluestein(x: np.ndarray) -> np.ndarray:
     ks = np.arange(n, dtype=np.int64)
     chirp = np.exp((-1j * np.pi / n) * ((ks * ks) % (2 * n)))
     m = 1 << (2 * n - 1).bit_length()
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1:] = np.conj(chirp[1:])[::-1]
-    kernel = _fft_pow2(b)
+    kernel = np.zeros(m, dtype=np.complex128)
+    kernel[:n] = np.conj(chirp)
+    kernel[m - n + 1:] = np.conj(chirp[1:])[::-1]
+    kernel = _fft_pow2(kernel)  # rebinding frees the padded chirp before the rows run
 
     def convolve(rows: np.ndarray) -> np.ndarray:
         a = np.zeros((rows.shape[0], m), dtype=np.complex128)
         np.multiply(rows, chirp, out=a[:, :n])
-        spec = _fft_pow2(a)
-        spec *= kernel
-        return chirp * _ifft_raw(spec)[:, :n]
+        np.multiply(_fft_pow2(a), kernel, out=a)
+        # inverse transform as conj(fft(conj(.))) / m, reusing a as scratch
+        np.conjugate(a, out=a)
+        out = np.conjugate(_fft_pow2(a)[:, :n])
+        out /= m
+        out *= chirp
+        return out
 
     return _by_chunks(convolve, x, m)
 

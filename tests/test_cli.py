@@ -451,6 +451,15 @@ def test_config_unknown_key_fails_cleanly(tmp_path, monkeypatch, capsys):
     assert "speed" in err
 
 
+def test_config_malformed_line_fails_cleanly(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "kit.conf"
+    cfg.write_text("fft_strategy\n", encoding="utf-8")
+    monkeypatch.setenv(config.CONFIG_ENV_VAR, str(cfg))
+    code, _, err = run(["transform", "--gen", "dc", "--n", "4"], capsys)
+    assert code == 1
+    assert "expected key=value" in err
+
+
 # ---------------------------------------------------------------------------
 # argument errors and process-level behavior
 # ---------------------------------------------------------------------------

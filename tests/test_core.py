@@ -1,5 +1,7 @@
 """Value types: construction, validation, jump conventions, config parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fourierkit import (
     ImpulseTrain,
     LengthMismatch,
     NonPositiveInterval,
+    ParseError,
     REAL,
     RealTagViolation,
     SegmentedFunction,
@@ -217,4 +220,12 @@ def test_load_config_rejects_missing_equals(tmp_path):
     cfg = tmp_path / "bad.conf"
     cfg.write_text("quad_tolerance\n", encoding="utf-8")
     with pytest.raises(ValueError):
+        config.load_config(str(cfg))
+
+
+@pytest.mark.parametrize("line", ["quad_tolerance", "fft_stragety=dft"])
+def test_load_config_errors_are_parse_errors(tmp_path, line):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text(f"# header\n{line}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{cfg}:2: ")):
         config.load_config(str(cfg))

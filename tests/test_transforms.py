@@ -2,11 +2,17 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.fft import fft as np_fft
+from numpy.fft import ifft as np_ifft
 
+import fourierkit
 from fourierkit import (
     EmptyBins,
     IndexOutOfRange,
@@ -28,7 +34,7 @@ from fourierkit import (
     rect,
     sinc,
 )
-from fourierkit.transforms import _CHUNK_POINTS, _fft_raw, _ifft_raw
+from fourierkit.transforms import _CHUNK_POINTS, _fft_raw, _ifft_raw, _twiddle
 
 
 def _random_waveform(rng, n, interval=1.0):
@@ -81,7 +87,7 @@ def test_dft_shift_theorem():
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12, 60, 64, 255, 256, 1024])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12, 32, 60, 64, 128, 255, 256, 512, 1024, 2048])
 def test_fft_matches_dft_and_numpy(n):
     rng = np.random.default_rng(n)
     w = _random_waveform(rng, n)
@@ -91,6 +97,63 @@ def test_fft_matches_dft_and_numpy(n):
     scale = np.max(np.abs(oracle)) or 1.0
     assert np.max(np.abs(ours_fast - ours_direct)) <= 1e-12 * scale
     assert np.max(np.abs(ours_fast - oracle)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [2 ** 18, 131101])
+def test_large_fft_matches_numpy(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for ours, oracle in ((_fft_raw, np_fft), (_ifft_raw, np_ifft)):
+        want = oracle(x)
+        assert np.max(np.abs(ours(x) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _traced_peak(fn, x):
+    """tracemalloc peak of fn(x), with the twiddle tables built inside it."""
+    _twiddle.cache_clear()
+    tracemalloc.start()
+    try:
+        out = fn(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == x.shape
+    return peak
+
+
+def test_pow2_transform_memory_stays_near_two_buffers():
+    x = np.random.default_rng(18).standard_normal(2 ** 18) + 0j
+    assert _traced_peak(_fft_raw, x) <= 2.5 * x.nbytes
+
+
+def test_bluestein_memory_stays_near_four_padded_buffers():
+    x = np.random.default_rng(19).standard_normal(131101) + 0j
+    padded_bytes = 16 * 2 ** 19
+    assert _traced_peak(_fft_raw, x) <= 5 * padded_bytes
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from fourierkit.transforms import _fft_raw
+rng = np.random.default_rng(7)
+for n in (64, 2 ** 16, 65537):
+    x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    print(n, hashlib.sha256(_fft_raw(x).tobytes()).hexdigest())
+"""
+
+
+def test_transform_bytes_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(fourierkit.__file__))
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", _DIGEST_SCRIPT]
+    default = subprocess.run(argv, env=env, capture_output=True, check=True, text=True)
+    single = subprocess.run(argv, env={**env, "OPENBLAS_NUM_THREADS": "1"},
+                            capture_output=True, check=True, text=True)
+    assert default.stdout.count("\n") == 3
+    assert single.stdout == default.stdout
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 60, 255, 1024])
@@ -162,7 +225,7 @@ def test_bin_frequencies_equal_per_bin_values(n):
         assert np.array_equal(bin_frequencies(n, fs), want)
 
 
-@pytest.mark.parametrize("n", [1, 2, 64, 1024, 7, 1000])
+@pytest.mark.parametrize("n", [1, 2, 32, 64, 128, 256, 1024, 8192, 7, 1000])
 def test_batched_transform_equals_row_by_row(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal((3, 5, n)) + 1j * rng.standard_normal((3, 5, n))
