@@ -1,5 +1,6 @@
 """Shared value types: waveforms, spectra, impulse trains, piecewise maps,
-Gabor atoms, and time-frequency grids.
+Gabor atoms, and time-frequency grids, plus the one helper that evaluates a
+user map on an array of points.
 
 Every type here is an immutable value object.  Operations in the rest of the
 package take these values and return new ones; nothing is mutated in place,
@@ -79,6 +80,19 @@ class ParseError(FourierKitError, ValueError):
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _eval_map(map: Callable, xs: np.ndarray, kind: type) -> np.ndarray:
+    """Values of ``map`` at the points ``xs`` as a ``kind`` (float or complex)
+    array: one call on the whole array when the map takes it and answers one
+    value per point, otherwise one call per point."""
+    try:
+        vals = np.asarray(map(xs), dtype=kind)
+        if vals.shape == xs.shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    return np.array([kind(map(float(x))) for x in xs], dtype=kind)
 
 
 @dataclass(frozen=True, eq=False)

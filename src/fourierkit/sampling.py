@@ -19,6 +19,7 @@ from .core import (
     NonPositiveInterval,
     FREQUENCY,
     Waveform,
+    _eval_map,
     validate_waveform,
 )
 from .kernels import rect, sinc
@@ -36,12 +37,7 @@ def sample(map: Callable[[float], complex], sample_interval: float, count: int,
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
     ts = start_time + sample_interval * np.arange(count)
-    try:
-        vals = np.asarray(map(ts), dtype=np.complex128)
-        if vals.shape != ts.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([complex(map(float(t))) for t in ts], dtype=np.complex128)
+    vals = _eval_map(map, ts, complex)
     if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
         bad = int(np.flatnonzero(~(np.isfinite(vals.real) & np.isfinite(vals.imag)))[0])
         raise NonFiniteSample(f"map produced a non-finite value at t = {ts[bad]!r}")

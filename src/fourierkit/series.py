@@ -5,9 +5,9 @@ over one period, a_n and b_n carry the factor 2/period.  Integrals run over
 [0, period] by composite Simpson quadrature on a uniform grid of a power of
 two panels sized to resolve the highest requested harmonic.  On that grid
 all 2K+1 weighted sums are one DFT of the Simpson-weighted samples, taken by
-the radix-2 core of ``transforms``.  The grid is refined by doubling, which
-keeps every sample taken so far, until every coefficient passes the
-tolerance or the panel budget is reached.  Synthesis is the plain
+the power-of-two (radix-16) core of ``transforms``.  The grid is refined by
+doubling, which keeps every sample taken so far, until every coefficient
+passes the tolerance or the panel budget is reached.  Synthesis is the plain
 finite partial sum, so jump behavior (midpoint convergence, overshoot) is
 faithful rather than smoothed away.
 """
@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import InvalidParameter, NonPositiveInterval
+from .core import InvalidParameter, NonPositiveInterval, _eval_map
 from .transforms import QuadratureSpec, _fft_raw
 
 
@@ -73,17 +73,6 @@ class ComplexSeriesCoefficients:
         return max((abs(m) for m in self.terms), default=0)
 
 
-def _eval_on_grid(map: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """Evaluate a map on a grid, accepting both vectorized and scalar maps."""
-    try:
-        vals = np.asarray(map(xs), dtype=float)
-        if vals.shape == xs.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(map(float(x))) for x in xs], dtype=float)
-
-
 def _refine(map: Callable[[float], float], span: float, k: int, per_harmonic: int,
             spec: QuadratureSpec | None, periodic: bool,
             read: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, tuple[bool, ...]]:
@@ -96,14 +85,14 @@ def _refine(map: Callable[[float], float], span: float, k: int, per_harmonic: in
     weighted samples: length 2P with the node at ``span`` folded onto node 0
     when periodic, zero-padded to 4P otherwise.  P starts at
     ``per_harmonic`` panels per harmonic (at least 64) rounded up to a power
-    of two, so the transform stays radix-2, capped at the budget.  Each
-    doubling keeps the samples taken so far and evaluates only the new
-    midpoints.
+    of two, so the transform takes the power-of-two (radix-16) core,
+    capped at the budget.  Each doubling keeps the samples taken so far and
+    evaluates only the new midpoints.
     """
     spec = spec or QuadratureSpec(0.0, 1.0)
     tol, max_panels = spec.abs_tolerance, spec.max_subdivisions
     panels = min(1 << (max(64, per_harmonic * k) - 1).bit_length(), max_panels)
-    samples = _eval_on_grid(map, np.linspace(0.0, span, 2 * panels + 1))
+    samples = _eval_map(map, np.linspace(0.0, span, 2 * panels + 1), float)
     coarse = None
     while True:
         # Simpson weights 1 4 2 ... 2 4 1, times 6P/span: exact in floating point
@@ -125,7 +114,7 @@ def _refine(map: Callable[[float], float], span: float, k: int, per_harmonic: in
         coarse = fine
         finer = np.empty(4 * panels + 1)
         finer[0::2] = samples
-        finer[1::2] = _eval_on_grid(map, np.arange(1, 4 * panels, 2) * (span / (4 * panels)))
+        finer[1::2] = _eval_map(map, np.arange(1, 4 * panels, 2) * (span / (4 * panels)), float)
         samples, panels = finer, 2 * panels
 
 

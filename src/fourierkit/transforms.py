@@ -11,7 +11,12 @@ call.  Forward transforms are unscaled, inverses carry 1/N.
 Continuous side: ``quad_ft`` integrates map(t) * exp(-+ i 2 pi f t) with an
 adaptive Simpson rule, with an optional exponential damping factor for
 slowly decaying tails, and ``half_transform`` does the cosine/sine integral
-over the half line with the kernel argument in radians per second.
+over the half line with the kernel argument in radians per second.  The
+rule refines level by level over arrays of intervals (the global strategy
+of QUADPACK applied to adaptive Simpson), so the map and the kernel are
+evaluated on all new points of a level at once.  Which intervals pass
+depends only on their own samples, depth and tolerance; when the split
+budget runs out, a level spends what is left on its leftmost intervals.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -32,6 +38,7 @@ from .core import (
     Spectrum,
     ToleranceNotReached,
     Waveform,
+    _eval_map,
     validate_waveform,
 )
 
@@ -48,9 +55,10 @@ SINE = "sine"
 def _dft_raw(x: np.ndarray, sign: float = -1.0) -> np.ndarray:
     """Direct summation sum_n x[n] exp(sign * i 2 pi k n / N).
 
-    The angle is built from (k*n) mod N in exact integer arithmetic, so
-    conjugate bins agree to machine precision even for large N.  Rows are
-    processed in chunks to keep the kernel matrix small.
+    The kernel gathers from one table of the N roots of unity at (k*n) mod N,
+    an exact integer index, so conjugate bins agree to machine precision even
+    for large N.  Rows are processed in chunks to keep the kernel matrix
+    small.
     """
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
@@ -58,11 +66,12 @@ def _dft_raw(x: np.ndarray, sign: float = -1.0) -> np.ndarray:
         return x.copy()
     out = np.empty(n, dtype=np.complex128)
     idx = np.arange(n, dtype=np.int64)
+    roots = np.exp((sign * 2j * np.pi / n) * idx)
     chunk = max(1, 2_000_000 // n)
     for lo in range(0, n, chunk):
-        ks = idx[lo:lo + chunk, None]
-        ang = (ks * idx[None, :]) % n
-        out[lo:lo + chunk] = np.exp((sign * 2j * np.pi / n) * ang) @ x
+        ang = idx[lo:lo + chunk, None] * idx
+        ang %= n  # in place: one index matrix per chunk, not two
+        out[lo:lo + chunk] = roots[ang] @ x
     return out
 
 
@@ -301,14 +310,15 @@ class QuadratureSpec:
     damping: float = 0.0
 
     def __post_init__(self):
-        if not self.lower < self.upper:
-            raise NonPositiveInterval(f"need lower < upper, got [{self.lower}, {self.upper}]")
-        if self.max_subdivisions < 1:
-            raise InvalidParameter(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-        if not self.abs_tolerance > 0.0:
-            raise InvalidParameter(f"abs_tolerance must be > 0, got {self.abs_tolerance!r}")
-        if self.damping < 0.0:
-            raise InvalidParameter(f"damping must be >= 0, got {self.damping!r}")
+        if not -math.inf < self.lower < self.upper < math.inf:
+            raise NonPositiveInterval(f"need finite lower < upper: [{self.lower}, {self.upper}]")
+        if not isinstance(self.max_subdivisions, Integral) or self.max_subdivisions < 1:
+            raise InvalidParameter(
+                f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
+        if not 0.0 < self.abs_tolerance < math.inf:
+            raise InvalidParameter(f"abs_tolerance must be finite and > 0: {self.abs_tolerance!r}")
+        if not 0.0 <= self.damping < math.inf:
+            raise InvalidParameter(f"damping must be finite and >= 0: {self.damping!r}")
 
 
 @dataclass(frozen=True)
@@ -320,58 +330,56 @@ class QuadResult:
     converged: bool
 
 
-class _Budget:
-    __slots__ = ("left", "ok")
-
-    def __init__(self, splits: int):
-        self.left = splits
-        self.ok = True
-
-
 _MIN_DEPTH = 2   # forced halvings so an oscillatory integrand cannot pass on a coarse fluke
 _MAX_DEPTH = 60  # past this, interval widths reach the floating point floor
 
 
-def _simpson(fa: complex, fm: complex, fb: complex, h: float) -> complex:
-    return (h / 6.0) * (fa + 4.0 * fm + fb)
-
-
-def _adapt(g, a, m, b, fa, fm, fb, whole, tol, budget, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = g(lm)
-    frm = g(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    refined = left + right
-    err = abs(refined - whole)
-    if depth >= _MIN_DEPTH and err <= 15.0 * tol:
-        return refined + (refined - whole) / 15.0, err / 15.0
-    if budget.left <= 0 or depth >= _MAX_DEPTH:
-        budget.ok = False
-        return refined, err
-    budget.left -= 1
-    v1, e1 = _adapt(g, a, lm, m, fa, flm, fm, left, tol / 2.0, budget, depth + 1)
-    v2, e2 = _adapt(g, m, rm, b, fm, frm, fb, right, tol / 2.0, budget, depth + 1)
-    return v1 + v2, e1 + e2
-
-
-def _integrate(g: Callable[[float], complex], lower: float, upper: float,
+def _integrate(g: Callable[[np.ndarray], np.ndarray], lower: float, upper: float,
                abs_tolerance: float, max_subdivisions: int, panels: int) -> QuadResult:
-    """Adaptive Simpson over an initial uniform panelization."""
+    """Adaptive Simpson over an initial uniform panelization, refined level
+    by level; ``g`` maps an array of points to an array of values.
+
+    One call evaluates the panel edges and midpoints, then one call per
+    level the quarter-points of all its intervals.  An interval at depth
+    >= _MIN_DEPTH whose halves agree with it to 15 * tol is accepted with
+    its Richardson correction; the others are split, tol halving per level,
+    while ``max_subdivisions`` splits last.  A level that wants more splits
+    than are left spends them on its leftmost intervals and keeps the rest
+    unconverged.
+    """
     edges = np.linspace(lower, upper, panels + 1)
-    tol = abs_tolerance / panels
-    budget = _Budget(max_subdivisions)
-    total = 0.0 + 0.0j
-    err = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        m = 0.5 * (a + b)
-        fa, fm, fb = g(a), g(m), g(b)
-        whole = _simpson(fa, fm, fb, b - a)
-        v, e = _adapt(g, a, m, b, fa, fm, fb, whole, tol, budget, 0)
-        total += v
-        err += e
-    return QuadResult(total, err, budget.ok)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    f = g(np.r_[edges, mids])
+    # rows: left edge, midpoint and right edge of each interval, left to right
+    x = np.stack((edges[:-1], mids, edges[1:]))
+    fx = np.stack((f[:panels], f[panels + 1:], f[1:panels + 1]))
+    whole = ((x[2] - x[0]) / 6.0) * (fx[0] + 4.0 * fx[1] + fx[2])
+    tol, budget, depth, converged = abs_tolerance / panels, max_subdivisions, 0, True
+    values, errors = [], []
+    while x.shape[1]:
+        # row 0 of these pairs is the left half of each interval, row 1 the right
+        mid = 0.5 * (x[:2] + x[1:])
+        fmid = g(mid.ravel()).reshape(mid.shape)
+        halves = ((x[1:] - x[:2]) / 6.0) * (fx[:2] + 4.0 * fmid + fx[1:])
+        refined = halves[0] + halves[1]
+        err = np.abs(refined - whole)
+        passed = err <= 15.0 * tol if depth >= _MIN_DEPTH else np.zeros(err.shape, dtype=bool)
+        values.append(refined[passed] + (refined[passed] - whole[passed]) / 15.0)
+        errors.append(err[passed] / 15.0)
+        failed = np.flatnonzero(~passed)
+        splits = 0 if depth >= _MAX_DEPTH else min(failed.size, budget)
+        split, kept = failed[:splits], failed[splits:]
+        values.append(refined[kept])
+        errors.append(err[kept])
+        converged = converged and kept.size == 0
+        budget -= splits
+        # the two halves of each split interval become the next level, in order
+        x, fx = (np.stack((v[:2], vmid, v[1:]))[:, :, split].transpose(0, 2, 1).reshape(3, -1)
+                 for v, vmid in ((x, mid), (fx, fmid)))
+        whole = halves[:, split].T.ravel()
+        tol, depth = tol / 2.0, depth + 1
+    return QuadResult(complex(np.sum(np.concatenate(values))),
+                      float(np.sum(np.concatenate(errors))), converged)
 
 
 def _initial_panels(cycles: float) -> int:
@@ -390,15 +398,12 @@ def quad_ft(map: Callable[[float], complex], f: float, spec: QuadratureSpec,
     """
     if direction not in (FORWARD, INVERSE):
         raise InvalidParameter(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    if not math.isfinite(f):
+        raise InvalidParameter(f"frequency must be finite, got {f!r}")
     sign = -2j * np.pi * f if direction == FORWARD else 2j * np.pi * f
-    damping = spec.damping
 
-    if damping == 0.0:
-        def g(t: float) -> complex:
-            return complex(map(t)) * np.exp(sign * t)
-    else:
-        def g(t: float) -> complex:
-            return complex(map(t)) * np.exp(sign * t - damping * abs(t))
+    def g(t: np.ndarray) -> np.ndarray:
+        return _eval_map(map, t, complex) * np.exp(sign * t - spec.damping * np.abs(t))
 
     panels = _initial_panels(abs(f) * (spec.upper - spec.lower))
     return _integrate(g, spec.lower, spec.upper, spec.abs_tolerance,
@@ -414,17 +419,15 @@ def half_transform(map: Callable[[float], float], q: float, kind: str,
     """
     if kind not in (COSINE, SINE):
         raise InvalidParameter(f"kind must be 'cosine' or 'sine', got {kind!r}")
-    kernel = math.cos if kind == COSINE else math.sin
-    damping = spec.damping
+    if not math.isfinite(q):
+        raise InvalidParameter(f"q must be finite, got {q!r}")
+    kernel = np.cos if kind == COSINE else np.sin
     lower = max(0.0, spec.lower)
     if not lower < spec.upper:
         raise NonPositiveInterval(f"empty half-line window [{lower}, {spec.upper}]")
 
-    def g(x: float) -> complex:
-        val = float(map(x)) * kernel(q * x)
-        if damping:
-            val *= math.exp(-damping * x)
-        return val
+    def g(x: np.ndarray) -> np.ndarray:
+        return _eval_map(map, x, float) * kernel(q * x) * np.exp(-spec.damping * x)
 
     panels = _initial_panels(abs(q) / (2.0 * math.pi) * (spec.upper - lower))
     result = _integrate(g, lower, spec.upper, spec.abs_tolerance,

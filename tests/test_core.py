@@ -1,5 +1,6 @@
 """Value types: construction, validation, jump conventions, config parsing."""
 
+import math
 import re
 
 import numpy as np
@@ -117,16 +118,33 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: GaborAtom(0.0, 1.0, 0.0),
         lambda: TFDistribution(np.zeros((1, 1)), [0.0], [0.0], kind="scalogram"),
         lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=0),
+        lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=math.nan),
+        lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=math.inf),
+        lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=2.5),
         lambda: QuadratureSpec(0.0, 1.0, abs_tolerance=0.0),
         lambda: QuadratureSpec(0.0, 1.0, damping=-1.0),
+        lambda: QuadratureSpec(0.0, 1.0, damping=math.nan),
+        lambda: QuadratureSpec(0.0, 1.0, abs_tolerance=math.inf),
         lambda: quad_ft(f, 1.0, window, direction="sideways"),
+        lambda: quad_ft(f, math.nan, window),
+        lambda: quad_ft(f, math.inf, window),
         lambda: half_transform(f, 1.0, "both", window),
+        lambda: half_transform(f, math.nan, "cosine", window),
+        lambda: half_transform(f, -math.inf, "sine", window),
     ]
     for call in calls:
         with pytest.raises(InvalidParameter) as info:
             call()
         assert isinstance(info.value, FourierKitError)
         assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("lower, upper", [(-math.inf, 1.0), (0.0, math.inf),
+                                          (-math.inf, math.inf), (math.nan, 1.0)])
+def test_quadrature_window_must_be_finite(lower, upper):
+    from fourierkit import QuadratureSpec
+    with pytest.raises(NonPositiveInterval):
+        QuadratureSpec(lower, upper)
 
 
 def test_spectrum_basics():

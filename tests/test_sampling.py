@@ -37,6 +37,13 @@ def test_sample_scalar_and_vectorized_maps_agree():
     assert vec.sample_interval == 0.5
 
 
+def test_sample_calls_a_map_per_point_unless_it_answers_every_point():
+    # a constant answers an array with one value, the second map with too few
+    assert np.array_equal(sample(lambda t: 2.0, 0.5, 4).samples, np.full(4, 2.0))
+    got = sample(lambda t: t[:2] if np.ndim(t) else t, 1.0, 5)
+    assert np.array_equal(got.samples, np.arange(5.0))
+
+
 def test_sample_tags_real_and_complex():
     assert sample(lambda t: math.sin(t), 1.0, 4).tag == "real"
     assert sample(lambda t: complex(0.0, t), 1.0, 4).tag == "complex"

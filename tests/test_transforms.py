@@ -34,7 +34,15 @@ from fourierkit import (
     rect,
     sinc,
 )
-from fourierkit.transforms import _CHUNK_POINTS, _fft_raw, _ifft_raw, _twiddle
+from fourierkit.transforms import (
+    _CHUNK_POINTS,
+    _dft_raw,
+    _fft_raw,
+    _ifft_raw,
+    _initial_panels,
+    _integrate,
+    _twiddle,
+)
 
 
 def _random_waveform(rng, n, interval=1.0):
@@ -85,6 +93,27 @@ def test_dft_shift_theorem():
     k = np.arange(16)
     rhs = dft(Waveform(x, 1.0)).bins * np.exp(-2j * np.pi * k * 3 / 16)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+
+def _dft_by_angles(x, sign):
+    """The direct DFT with one complex exponential per (k*n) mod N angle, in
+    chunks of rows as small as the library's."""
+    n = x.size
+    out = np.empty(n, dtype=np.complex128)
+    idx = np.arange(n, dtype=np.int64)
+    chunk = max(1, 2_000_000 // n)
+    for lo in range(0, n, chunk):
+        ang = (idx[lo:lo + chunk, None] * idx[None, :]) % n
+        out[lo:lo + chunk] = np.exp((sign * 2j * np.pi / n) * ang) @ x
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1024, 4096])
+def test_dft_root_table_equals_per_angle_exponentials(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for sign in (-1.0, 1.0):
+        assert np.array_equal(_dft_raw(x, sign), _dft_by_angles(x, sign))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12, 32, 60, 64, 128, 255, 256, 512, 1024, 2048])
@@ -401,3 +430,190 @@ def test_half_transform_rejects_bad_kind():
 def test_half_transform_rejects_empty_window():
     with pytest.raises(NonPositiveInterval):
         half_transform(lambda x: 1.0, 0.0, "cosine", QuadratureSpec(-2.0, -1.0))
+
+
+# ---------------------------------------------------------------------------
+# the level-wise adaptive rule against the depth-first recursion it replaced
+# ---------------------------------------------------------------------------
+
+def _depth_first(g, lower, upper, abs_tolerance, max_subdivisions, panels):
+    """Adaptive Simpson by depth-first recursion, panel by panel, spending
+    the split budget as it goes; g maps one point to one value."""
+    budget = {"left": max_subdivisions, "ok": True}
+
+    def simpson(fa, fm, fb, h):
+        return (h / 6.0) * (fa + 4.0 * fm + fb)
+
+    def adapt(a, m, b, fa, fm, fb, whole, tol, depth):
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm = g(lm)
+        frm = g(rm)
+        left = simpson(fa, flm, fm, m - a)
+        right = simpson(fm, frm, fb, b - m)
+        refined = left + right
+        err = abs(refined - whole)
+        if depth >= 2 and err <= 15.0 * tol:
+            return refined + (refined - whole) / 15.0, err / 15.0
+        if budget["left"] <= 0 or depth >= 60:
+            budget["ok"] = False
+            return refined, err
+        budget["left"] -= 1
+        v1, e1 = adapt(a, lm, m, fa, flm, fm, left, tol / 2.0, depth + 1)
+        v2, e2 = adapt(m, rm, b, fm, frm, fb, right, tol / 2.0, depth + 1)
+        return v1 + v2, e1 + e2
+
+    edges = np.linspace(lower, upper, panels + 1)
+    tol = abs_tolerance / panels
+    total, err = 0.0 + 0.0j, 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = 0.5 * (a + b)
+        fa, fm, fb = g(a), g(m), g(b)
+        v, e = adapt(a, m, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, 0)
+        total += v
+        err += e
+    return total, err, budget["ok"]
+
+
+def _depth_first_quad_ft(map, f, spec, direction):
+    sign = -2j * np.pi * f if direction == "forward" else 2j * np.pi * f
+    d = spec.damping
+
+    def g(t):
+        return complex(map(t)) * np.exp(sign * t - d * abs(t))
+
+    return _depth_first(g, spec.lower, spec.upper, spec.abs_tolerance, spec.max_subdivisions,
+                        _initial_panels(abs(f) * (spec.upper - spec.lower)))
+
+
+def _depth_first_half_transform(map, q, kind, spec):
+    kernel = math.cos if kind == "cosine" else math.sin
+    d = spec.damping
+    lower = max(0.0, spec.lower)
+
+    def g(x):
+        val = float(map(x)) * kernel(q * x)
+        if d:
+            val *= math.exp(-d * x)
+        return val
+
+    return _depth_first(g, lower, spec.upper, spec.abs_tolerance, spec.max_subdivisions,
+                        _initial_panels(abs(q) / (2.0 * math.pi) * (spec.upper - lower)))
+
+
+class _Counted:
+    """A map that counts the points it is evaluated at.  A scalar map
+    refuses arrays, as math.exp does."""
+
+    def __init__(self, fn, vectorized):
+        self.fn, self.vectorized, self.points = fn, vectorized, 0
+
+    def __call__(self, t):
+        if isinstance(t, np.ndarray):
+            if not self.vectorized:
+                raise TypeError("scalar map")
+            self.points += t.size
+        else:
+            self.points += 1
+        return self.fn(t)
+
+
+def _gaussian(t):
+    return math.exp(-math.pi * t * t)
+
+
+def _gaussian_array(t):
+    return np.exp(-np.pi * t * t)
+
+
+def _atom(t):
+    # complex Gaussian-times-tone map, with the same bits for a scalar as for
+    # an array (a scalar ** 2 can round differently from the array's square)
+    return np.exp(-2.0 * (t - 0.3) * (t - 0.3) + 2j * np.pi * 1.7 * t)
+
+
+_QUAD_CASES = [
+    (fn, vectorized, f, spec, direction)
+    for fn, vectorized in ((_gaussian, False), (_gaussian_array, True), (_atom, True))
+    for spec in (QuadratureSpec(-6.0, 6.0), QuadratureSpec(-6.0, 6.0, damping=0.8),
+                 QuadratureSpec(-6.0, 6.0, abs_tolerance=1e-10))
+    for f in (0.0, 0.37, 1.3, 2.9)
+    for direction in ("forward", "inverse")
+] + [
+    # the unit gate of c11, a constant map that returns one value for an array
+    (lambda t: 1.0, False, f, QuadratureSpec(-0.5, 0.5, abs_tolerance=1e-8), "forward")
+    for f in (-10.0, -3.0, -0.5, 0.0, 0.7, 4.0, 10.0)
+] + [
+    (rect, True, f, QuadratureSpec(-0.5, 0.5, abs_tolerance=1e-8), "forward")
+    for f in (0.0, 1.5, 7.0)
+]
+
+
+@pytest.mark.parametrize("fn, vectorized, f, spec, direction", _QUAD_CASES)
+def test_quad_ft_matches_depth_first_rule(fn, vectorized, f, spec, direction):
+    ref_map, new_map = _Counted(fn, vectorized), _Counted(fn, vectorized)
+    v, e, ok = _depth_first_quad_ft(ref_map, f, spec, direction)
+    got = quad_ft(new_map, f, spec, direction)
+    assert ok and got.converged
+    assert abs(got.value - v) <= 1e-15 * max(1.0, abs(v))
+    # numpy's product of complex arrays rounds differently from its scalar
+    # product, so a complex map's samples move by an ulp, and the error
+    # estimate, a sum of differences of nearly equal values, by that much
+    # times the window
+    slack = 1e-15 * (spec.upper - spec.lower) if isinstance(fn(0.0), complex) else 0.0
+    assert abs(got.error - e) <= 1e-12 * e + slack
+    assert new_map.points <= ref_map.points
+
+
+@pytest.mark.parametrize("kind", ["cosine", "sine"])
+@pytest.mark.parametrize("fn, vectorized, spec", [
+    (lambda x: math.exp(-x), False, QuadratureSpec(0.0, 40.0)),
+    (lambda x: np.exp(-x), True, QuadratureSpec(0.0, 40.0, abs_tolerance=1e-10)),
+    (lambda x: 1.0, False, QuadratureSpec(-5.0, 1.0)),
+    (lambda x: 1.0 / (1.0 + x * x), True, QuadratureSpec(0.0, 30.0, damping=0.3)),
+])
+def test_half_transform_matches_depth_first_rule(kind, fn, vectorized, spec):
+    for q in (0.0, 0.1, 1.0, 3.7, 7.9):
+        ref_map, new_map = _Counted(fn, vectorized), _Counted(fn, vectorized)
+        v, _, ok = _depth_first_half_transform(ref_map, q, kind, spec)
+        assert ok
+        got = half_transform(new_map, q, kind, spec)
+        assert abs(got - v.real) <= 1e-15 * max(1.0, abs(v))
+        assert new_map.points <= ref_map.points
+
+
+def test_unconverged_results_match_while_the_depth_is_the_limit():
+    # a budget too large to run out and a jump too close to 0 for 60 halvings
+    # to isolate: only the depth cap stops the first panel, in both orders
+    def g(t):
+        return np.where(np.asarray(t) < 1e-25, 1.0, 0.0) + 0j
+
+    v, e, ok = _depth_first(lambda t: complex(g(t)), 0.0, 1.0, 1e-300, 10_000, 16)
+    got = _integrate(g, 0.0, 1.0, 1e-300, 10_000, 16)
+    assert not ok and not got.converged
+    assert abs(got.value - v) <= 1e-15
+    assert abs(got.error - e) <= 1e-12 * e
+
+
+def test_split_budget_is_spent_left_to_right_per_level():
+    # 2 panels and 3 splits: level 0 splits both panels, level 1 (4 quarters,
+    # none may pass below depth 2) splits only the leftmost, and the other
+    # three quarters keep their estimates unconverged
+    calls = []
+
+    def g(t):
+        calls.append(t.copy())
+        return t * t * t + 0j  # Simpson is exact, so every interval that may pass does
+
+    got = _integrate(g, 0.0, 8.0, 1e-6, 3, 2)
+    assert [c.size for c in calls] == [5, 4, 8, 4]
+    np.testing.assert_array_equal(calls[1], [1.0, 5.0, 3.0, 7.0])
+    np.testing.assert_array_equal(calls[3], [0.25, 1.25, 0.75, 1.75])
+    assert not got.converged
+    assert got.value == pytest.approx(8.0 ** 4 / 4.0, rel=1e-15)
+    assert got.error == 0.0
+    # depth first spends all three splits inside the first panel instead
+    seen = []
+    _, _, ok = _depth_first(lambda t: seen.append(t) or t ** 3, 0.0, 8.0, 1e-6, 3, 2)
+    assert not ok
+    assert 2.25 in seen and 2.25 not in np.concatenate(calls)
