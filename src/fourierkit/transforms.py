@@ -2,11 +2,13 @@
 
 Discrete side: ``dft`` is the direct O(N^2) summation and is kept as the
 reference path; ``fft`` runs one batched core that transforms the last axis
-of a (..., N) array: a power-of-two transform in radix-16 stages, each one
-stacked matrix product with the 16-point DFT matrix plus twiddles from small
-cached tables, falling back to a chirp convolution for lengths that are not
-powers of two.  The time-frequency layer hands it all of its frames in one
-call.  Forward transforms are unscaled, inverses carry 1/N.
+of a (..., N) array.  A length N = 2^a 3^b 5^c 7^d runs as mixed-radix
+stages of radix 16, 9, 25 or 7 and one each of 8/4/2, 3 and 5 for what is
+left, each one stacked matrix product with the r-point DFT matrix plus
+twiddles from small cached tables.  Any other length runs as a chirp
+convolution padded to the cheapest such length.  The time-frequency layer
+hands the core all of its frames in one call.  Forward transforms are
+unscaled, inverses carry 1/N.
 
 Continuous side: ``quad_ft`` integrates map(t) * exp(-+ i 2 pi f t) with an
 adaptive Simpson rule, with an optional exponential damping factor for
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from numbers import Integral
 from typing import Callable
 
@@ -92,12 +94,28 @@ def idft(s: Spectrum) -> Waveform:
     return Waveform(samples, sample_interval=1.0 / (n * s.bin_spacing))
 
 
-# Radix of every stage of the power-of-two kernel but the last, which takes
-# the remaining 2, 4, 8 or 16 points.
-_RADIX = 16
+# (prime p, power k) of the full radices p^k = 16, 9, 25 and 7 of the stage
+# plans.  They take as many stages as they can, then one stage of 2, 4 or 8,
+# one of 3 and one of 5 take what is left, so a power of two keeps its
+# radix-16 stages and its remainder last.
+_FULL_RADICES = ((2, 4), (3, 2), (5, 2), (7, 1))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=512)
+def _plan(n: int) -> tuple[int, ...] | None:
+    """Stage radices of an n-point transform, or None if n has a prime
+    factor above 7."""
+    full, rest = [], []
+    for p, k in _FULL_RADICES:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        full += [p ** k] * (e // k)
+        rest += [p ** (e % k)] if e % k else []
+    return tuple(full + rest) if n == 1 else None
+
+
+@lru_cache(maxsize=512)
 def _twiddle(m: int, rows: int, step: int, r: int) -> np.ndarray:
     """Table exp(-i 2 pi (j * step * k mod m) / m) of shape (r, rows), indexed
     [k, j], immutable once built; ``_twiddle(r, r, 1, r)`` is the r-point DFT
@@ -132,9 +150,10 @@ def _by_chunks(kernel: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return out.reshape(x.shape)
 
 
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Cooley-Tukey transform of the last axis, whose length n must be a
-    power of two, in stages of radix 16 (the last stage takes the remainder).
+def _fft_smooth(x: np.ndarray, conj: bool = False) -> np.ndarray:
+    """Cooley-Tukey transform of the last axis, whose length n must have a
+    ``_plan``, in one stage per radix of the plan; with ``conj`` it
+    transforms conj(x) without touching x.
 
     A stage sees each row as (t1, t2, done): t1 the leading time digit of
     radix r, t2 the rest of the sub-transform's time index, and done the
@@ -151,17 +170,16 @@ def _fft_pow2(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
     batch = x.size // n
-    src = x.reshape(batch, n)
+    plan = _plan(n)
     spec, store = (np.empty((batch, n), dtype=np.complex128) for _ in range(2))
+    src = np.conjugate(x.reshape(batch, n), out=store) if conj else x.reshape(batch, n)
     m, done = n, 1
-    while True:
-        r = min(_RADIX, m)
+    for r, lead in zip(plan, plan[1:] + (1,)):
         np.matmul(_twiddle(r, r, 1, r), src.reshape(batch, r, n // r),
                   out=spec.reshape(batch, r, n // r))
-        rest = m // r
-        if rest == 1:
+        if lead == 1:
             return spec.reshape(x.shape)
-        lead = min(_RADIX, rest)
+        rest = m // r
         low = rest // lead
         y = spec.reshape(batch, r, lead, low, done)
         y *= _twiddle(m, lead, low, r)[:, :, None, None]
@@ -172,9 +190,25 @@ def _fft_pow2(x: np.ndarray) -> np.ndarray:
         src, m, done = store, rest, done * r
 
 
-def _bluestein(x: np.ndarray) -> np.ndarray:
-    """Arbitrary-length transform of the last axis as a chirp-modulated
-    convolution.
+@lru_cache(maxsize=512)
+def _bluestein_length(n: int) -> int:
+    """Convolution length of an n-point Bluestein transform: of the lengths
+    m >= 2n-1 that have a plan and are at most the next power of two, the
+    one with the fewest points times stages (the smaller on a tie)."""
+    low = 2 * n - 1
+    top = 1 << (low - 1).bit_length()
+    odds = [1]
+    for p in (3, 5, 7):
+        odds = [o * p ** e for o in odds for e in range(top.bit_length()) if o * p ** e <= top]
+    # each odd part times the least power of two that reaches low
+    lengths = (o << ((low - 1) // o).bit_length() for o in odds)
+    return min((m * len(_plan(m)), m) for m in lengths if m <= top)[1]
+
+
+def _bluestein(x: np.ndarray, conj: bool) -> np.ndarray:
+    """Arbitrary-length transform of the last axis (of conj(x) with
+    ``conj``) as a chirp-modulated convolution of ``_bluestein_length``
+    points.
 
     The quadratic exponent is reduced mod 2N in integer arithmetic before
     the complex exponential so large N does not lose phase accuracy.  The
@@ -182,21 +216,20 @@ def _bluestein(x: np.ndarray) -> np.ndarray:
     call and shared by every row.
     """
     n = x.shape[-1]
-    ks = np.arange(n, dtype=np.int64)
-    chirp = np.exp((-1j * np.pi / n) * ((ks * ks) % (2 * n)))
-    m = 1 << (2 * n - 1).bit_length()
+    chirp = np.exp((-1j * np.pi / n) * (np.arange(n, dtype=np.int64) ** 2 % (2 * n)))
+    m = _bluestein_length(n)
     kernel = np.zeros(m, dtype=np.complex128)
     kernel[:n] = np.conj(chirp)
     kernel[m - n + 1:] = np.conj(chirp[1:])[::-1]
-    kernel = _fft_pow2(kernel)  # rebinding frees the padded chirp before the rows run
+    kernel = _fft_smooth(kernel)  # rebinding frees the padded chirp before the rows run
 
     def convolve(rows: np.ndarray) -> np.ndarray:
         a = np.zeros((rows.shape[0], m), dtype=np.complex128)
-        np.multiply(rows, chirp, out=a[:, :n])
-        np.multiply(_fft_pow2(a), kernel, out=a)
-        # inverse transform as conj(fft(conj(.))) / m, reusing a as scratch
-        np.conjugate(a, out=a)
-        out = np.conjugate(_fft_pow2(a)[:, :n])
+        head = np.conjugate(rows, out=a[:, :n]) if conj else rows
+        np.multiply(head, chirp, out=a[:, :n])
+        np.multiply(_fft_smooth(a), kernel, out=a)
+        # inverse transform as conj(fft(conj(.))) / m
+        out = np.conjugate(_fft_smooth(a, conj=True)[:, :n])
         out /= m
         out *= chirp
         return out
@@ -204,27 +237,33 @@ def _bluestein(x: np.ndarray) -> np.ndarray:
     return _by_chunks(convolve, x, m)
 
 
-def _fft_raw(x: np.ndarray) -> np.ndarray:
-    """Forward transform of the last axis of a (..., n) array, unscaled."""
+def _transform(x: np.ndarray, inverse: bool) -> np.ndarray:
+    """Transform of the last axis of a (..., n) array: mixed-radix stages for
+    lengths 2^a 3^b 5^c 7^d, a chirp convolution padded to such a length for
+    the others.  The inverse is conj(fft(conj(x))) / n, with the input
+    conjugated into the kernel's scratch so x is neither copied nor changed."""
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
     if n <= 1:
         return x.copy()
-    if n & (n - 1) == 0:
-        return _by_chunks(_fft_pow2, x, n)
-    return _bluestein(x)
+    if _plan(n) is None:
+        out = _bluestein(x, conj=inverse)
+    else:
+        out = _by_chunks(partial(_fft_smooth, conj=inverse), x, n)
+    if inverse:
+        np.conjugate(out, out=out)
+        out /= n
+    return out
+
+
+def _fft_raw(x: np.ndarray) -> np.ndarray:
+    """Forward transform of the last axis of a (..., n) array, unscaled."""
+    return _transform(x, inverse=False)
 
 
 def _ifft_raw(x: np.ndarray) -> np.ndarray:
     """Inverse transform of the last axis of a (..., n) array, scaled by 1/n."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    if n <= 1:
-        return x.copy()
-    out = _fft_raw(np.conj(x))
-    np.conjugate(out, out=out)
-    out /= n
-    return out
+    return _transform(x, inverse=True)
 
 
 def fft(w: Waveform) -> Spectrum:

@@ -1,6 +1,7 @@
 """Discrete and integrated transforms, with numpy.fft as an outside oracle."""
 
 import cmath
+import hashlib
 import math
 import os
 import subprocess
@@ -36,11 +37,13 @@ from fourierkit import (
 )
 from fourierkit.transforms import (
     _CHUNK_POINTS,
+    _bluestein_length,
     _dft_raw,
     _fft_raw,
     _ifft_raw,
     _initial_panels,
     _integrate,
+    _plan,
     _twiddle,
 )
 
@@ -137,6 +140,70 @@ def test_large_fft_matches_numpy(n):
         assert np.max(np.abs(ours(x) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+_RADICES = {16, 8, 4, 2, 9, 3, 25, 5, 7}
+_RADIX_CASES = [3, 5, 7, 9, 25, 49, 60, 210, 1000, 44100, 48000, 3 * 2 ** 16]
+
+
+@pytest.mark.parametrize("n", _RADIX_CASES)
+def test_every_radix_matches_numpy(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for ours, oracle in ((_fft_raw, np_fft), (_ifft_raw, np_ifft)):
+        want = oracle(x)
+        assert np.max(np.abs(ours(x) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_the_radix_cases_cover_every_radix():
+    assert set().union(*map(_plan, _RADIX_CASES)) == _RADICES
+
+
+def _prime_factors(n):
+    factors, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            factors.append(p)
+            n //= p
+        p += 1
+    return factors + ([n] if n > 1 else [])
+
+
+def test_plan_multiplies_out_to_its_length():
+    for n in (*range(1, 2049), 2 ** 18, 3 * 2 ** 16, 48000, 44100, 65537):
+        plan = _plan(n)
+        if max(_prime_factors(n), default=1) > 7:
+            assert plan is None
+            continue
+        assert math.prod(plan) == n and set(plan) <= _RADICES
+        if n & (n - 1) == 0:  # a power of two keeps its radix-16 stages, remainder last
+            assert plan[:-1] == (16,) * (len(plan) - 1)
+
+
+def _smooth_lengths(top):
+    """Every 2^a 3^b 5^c 7^d up to top, by dividing out the small primes."""
+    rest = np.arange(1, top + 1)
+    for p in (2, 3, 5, 7):
+        for _ in range(top.bit_length()):
+            rest[rest % p == 0] //= p
+    return np.flatnonzero(rest == 1) + 1
+
+
+_SMOOTH = _smooth_lengths(1 << 20)
+_NEAR_2_18 = [*range(2 ** 18 - 40, 2 ** 18 + 40),
+              *np.random.default_rng(18).integers(2 ** 17, 2 ** 18, 40).tolist()]
+
+
+@pytest.mark.parametrize("ns", [range(2, 5001), _NEAR_2_18], ids=["to-5000", "near-2^18"])
+def test_bluestein_pads_to_the_cheapest_smooth_length(ns):
+    for n in ns:
+        m, low = _bluestein_length(n), 2 * n - 1
+        top = 1 << (low - 1).bit_length()
+        cost = m * len(_plan(m))
+        assert low <= m <= top and max(_prime_factors(m)) <= 7
+        assert cost <= top * len(_plan(top))
+        lengths = _SMOOTH[(_SMOOTH >= low) & (_SMOOTH <= top)]
+        assert (cost, m) == min((int(c) * len(_plan(int(c))), int(c)) for c in lengths)
+
+
 def _traced_peak(fn, x):
     """tracemalloc peak of fn(x), with the twiddle tables built inside it."""
     _twiddle.cache_clear()
@@ -155,10 +222,41 @@ def test_pow2_transform_memory_stays_near_two_buffers():
     assert _traced_peak(_fft_raw, x) <= 2.5 * x.nbytes
 
 
+def test_inverse_conjugates_into_scratch_not_a_copy():
+    x = np.random.default_rng(18).standard_normal(2 ** 18) + 1j
+    before = x.copy()
+    assert _traced_peak(_ifft_raw, x) <= 2.5 * x.nbytes
+    assert np.array_equal(x, before)
+
+
 def test_bluestein_memory_stays_near_four_padded_buffers():
-    x = np.random.default_rng(19).standard_normal(131101) + 0j
-    padded_bytes = 16 * 2 ** 19
+    x = np.random.default_rng(19).standard_normal(131101) + 1j
+    before = x.copy()
+    padded_bytes = 16 * _bluestein_length(131101)
     assert _traced_peak(_fft_raw, x) <= 5 * padded_bytes
+    assert _traced_peak(_ifft_raw, x) <= 5 * padded_bytes
+    assert np.array_equal(x, before)
+
+
+# sha256 of the transforms of power-of-two inputs as the radix-16 kernel gave
+# them before mixed-radix plans (numpy 2.4 with OpenBLAS on x86-64): a power of
+# two keeps its stages, so it keeps its bits
+_POW2_DIGESTS = {
+    64: ("a82b2d3c32f4e09ebe418b731a64b848e5661d32e8f67d895ccc827bace7f299",
+         "c6d5eab5d6c61d3c0ac50d07a3da5de54988d3e31d0db009c7ce2d863d055d7e"),
+    2 ** 16: ("b4ad7e59cf5e7675bbea0c6ec3a42f1774547f81d9933b5174317dccc5d8e043",
+              "d6d45f4efab8dc7ba6c8f8bc91b8606f75c12b209dcd85a49badad0b45895cee"),
+    2 ** 18: ("373829ad516e8138b0d0d49edc6038da064e470321fd32d5679e0bd394fdfc11",
+              "ff5ca5c203dc5ea407ef87aaa92be477bf2380c7d9b5107bfc06eb3407f35c50"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_POW2_DIGESTS))
+def test_pow2_transform_bits_are_pinned(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = tuple(hashlib.sha256(raw(x).tobytes()).hexdigest() for raw in (_fft_raw, _ifft_raw))
+    assert got == _POW2_DIGESTS[n]
 
 
 _DIGEST_SCRIPT = """
@@ -166,7 +264,7 @@ import hashlib
 import numpy as np
 from fourierkit.transforms import _fft_raw
 rng = np.random.default_rng(7)
-for n in (64, 2 ** 16, 65537):
+for n in (64, 2 ** 16, 48000, 65537, 140009):
     x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
     print(n, hashlib.sha256(_fft_raw(x).tobytes()).hexdigest())
 """
@@ -181,7 +279,7 @@ def test_transform_bytes_do_not_depend_on_blas_threads():
     default = subprocess.run(argv, env=env, capture_output=True, check=True, text=True)
     single = subprocess.run(argv, env={**env, "OPENBLAS_NUM_THREADS": "1"},
                             capture_output=True, check=True, text=True)
-    assert default.stdout.count("\n") == 3
+    assert default.stdout.count("\n") == 5
     assert single.stdout == default.stdout
 
 
@@ -254,7 +352,7 @@ def test_bin_frequencies_equal_per_bin_values(n):
         assert np.array_equal(bin_frequencies(n, fs), want)
 
 
-@pytest.mark.parametrize("n", [1, 2, 32, 64, 128, 256, 1024, 8192, 7, 1000])
+@pytest.mark.parametrize("n", [1, 2, 32, 64, 128, 256, 1024, 8192, 7, 12, 60, 1000, 11, 263])
 def test_batched_transform_equals_row_by_row(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal((3, 5, n)) + 1j * rng.standard_normal((3, 5, n))
@@ -265,8 +363,9 @@ def test_batched_transform_equals_row_by_row(n):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n, padded", [(256, 256), (1000, 2048)])
+@pytest.mark.parametrize("n, padded", [(256, 256), (1009, 2025)])
 def test_batch_larger_than_one_chunk_equals_row_by_row(n, padded):
+    assert padded == (n if _plan(n) else _bluestein_length(n))
     rng = np.random.default_rng(n)
     rows = _CHUNK_POINTS // padded + 3
     x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
