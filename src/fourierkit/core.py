@@ -1,6 +1,6 @@
 """Shared value types: waveforms, spectra, impulse trains, piecewise maps,
-Gabor atoms, and time-frequency grids, plus the one helper that evaluates a
-user map on an array of points.
+Gabor atoms, and time-frequency grids, plus the helpers the other modules
+share: map evaluation, scalar-or-array results and the interval check.
 
 Every type here is an immutable value object.  Operations in the rest of the
 package take these values and return new ones; nothing is mutated in place,
@@ -95,6 +95,17 @@ def _eval_map(map: Callable, xs: np.ndarray, kind: type) -> np.ndarray:
     return np.array([kind(map(float(x))) for x in xs], dtype=kind)
 
 
+def _match(x, out: np.ndarray, kind: type):
+    """``kind(out)`` (float or complex) when ``x`` is a scalar, else ``out``."""
+    return kind(out) if np.ndim(x) == 0 else out
+
+
+def _require_positive(name: str, value: float) -> None:
+    """Raise NonPositiveInterval unless 0 < value < inf."""
+    if not 0.0 < value < np.inf:
+        raise NonPositiveInterval(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Waveform:
     """Uniformly sampled signal x(t0 + n*T) for n = 0..N-1.
@@ -136,8 +147,7 @@ def validate_waveform(w: Waveform) -> Waveform:
 
     Raises NonPositiveInterval, EmptySamples, or RealTagViolation.
     """
-    if not (w.sample_interval > 0.0) or not np.isfinite(w.sample_interval):
-        raise NonPositiveInterval(f"sample_interval must be > 0, got {w.sample_interval!r}")
+    _require_positive("sample_interval", w.sample_interval)
     if w.samples.size == 0:
         raise EmptySamples("waveform has no samples")
     if w.tag == REAL and np.any(w.samples.imag != 0.0):

@@ -11,17 +11,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ImpulseTrain, InvalidParameter, NonPositiveInterval, TIME
+from .core import ImpulseTrain, InvalidParameter, TIME, _eval_map, _match, _require_positive
 
 # Below this, sin(theta/2) is treated as zero and the kernel's limit is used.
 _SINGULAR = 1e-12
-
-
-def _match(x, out):
-    """Return a scalar when the input was one."""
-    if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
-        return float(out)
-    return out
 
 
 def dirichlet_sum(i: int, theta) -> float:
@@ -30,10 +23,10 @@ def dirichlet_sum(i: int, theta) -> float:
         raise InvalidParameter(f"order must be >= 0, got {i}")
     th = np.asarray(theta, dtype=float)
     if i == 0:
-        return _match(theta, np.full(th.shape, 0.5))
+        return _match(theta, np.full(th.shape, 0.5), float)
     m = np.arange(1, i + 1)
     out = 0.5 + np.cos(np.multiply.outer(th, m)).sum(axis=-1)
-    return _match(theta, out)
+    return _match(theta, out, float)
 
 
 def dirichlet_closed(i: int, theta) -> float:
@@ -54,17 +47,16 @@ def dirichlet_closed(i: int, theta) -> float:
     singular = np.abs(half) < _SINGULAR
     denom = np.where(singular, 1.0, 2.0 * half)
     out = np.where(singular, i + 0.5, np.sin((i + 0.5) * ph) / denom)
-    return _match(theta, out)
+    return _match(theta, out, float)
 
 
 def rect(t, width: float = 1.0):
     """Rectangle of unit height: 1 inside (-w/2, w/2), 1/2 at the edges."""
-    if not width > 0.0:
-        raise NonPositiveInterval(f"width must be > 0, got {width!r}")
+    _require_positive("width", width)
     at = np.abs(np.asarray(t, dtype=float))
     half = width / 2.0
     out = np.where(at < half, 1.0, np.where(at == half, 0.5, 0.0))
-    return _match(t, out)
+    return _match(t, out, float)
 
 
 def sinc(u):
@@ -72,13 +64,12 @@ def sinc(u):
     arr = np.asarray(u, dtype=float)
     pu = np.pi * np.where(arr == 0.0, 1.0, arr)
     out = np.where(arr == 0.0, 1.0, np.sin(pu) / pu)
-    return _match(u, out)
+    return _match(u, out, float)
 
 
 def sinc_scaled(u, width: float):
     """Transform of a width-`width` rectangle: width * sinc(width * u)."""
-    if not width > 0.0:
-        raise NonPositiveInterval(f"width must be > 0, got {width!r}")
+    _require_positive("width", width)
     return width * sinc(np.multiply(u, width))
 
 
@@ -86,21 +77,18 @@ def step(x):
     """Unit step: 0 for x < 0, 1 for x > 0, 1/2 at x = 0."""
     arr = np.asarray(x, dtype=float)
     out = np.where(arr < 0.0, 0.0, np.where(arr > 0.0, 1.0, 0.5))
-    return _match(x, out)
+    return _match(x, out, float)
 
 
 def make_comb(period: float, count: int, weight: complex = 1.0, domain: str = TIME) -> ImpulseTrain:
     """Equally weighted impulses at 0, period, ..., (count-1)*period."""
-    if not period > 0.0:
-        raise NonPositiveInterval(f"period must be > 0, got {period!r}")
+    _require_positive("period", period)
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
     return ImpulseTrain(tuple((k * period, weight) for k in range(count)), domain=domain)
 
 
 def sift(train: ImpulseTrain, map: Callable[[float], complex]) -> complex:
-    """Apply the train to a map: sum of weight * map(location)."""
-    total = 0.0 + 0.0j
-    for loc, wt in train.impulses:
-        total += wt * complex(map(loc))
-    return total
+    """Apply the train to a map: sum of weight * map(location), with the map
+    called on all locations at once when it takes an array."""
+    return complex(np.dot(train.weights(), _eval_map(map, train.locations(), complex)))

@@ -7,6 +7,7 @@ rate produce identical sample sequences by construction.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,13 +17,14 @@ from .core import (
     InvalidParameter,
     LengthMismatch,
     NonFiniteSample,
-    NonPositiveInterval,
     FREQUENCY,
     Waveform,
     _eval_map,
+    _require_positive,
     validate_waveform,
 )
 from .kernels import rect, sinc
+from .transforms import _fft_raw
 
 
 def sample(map: Callable[[float], complex], sample_interval: float, count: int,
@@ -32,36 +34,31 @@ def sample(map: Callable[[float], complex], sample_interval: float, count: int,
     The result is tagged real exactly when every imaginary part is zero.
     Raises NonFiniteSample if the map produces NaN or infinity.
     """
-    if not sample_interval > 0.0:
-        raise NonPositiveInterval(f"sample_interval must be > 0, got {sample_interval!r}")
+    _require_positive("sample_interval", sample_interval)
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
     ts = start_time + sample_interval * np.arange(count)
     vals = _eval_map(map, ts, complex)
-    if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
-        bad = int(np.flatnonzero(~(np.isfinite(vals.real) & np.isfinite(vals.imag)))[0])
-        raise NonFiniteSample(f"map produced a non-finite value at t = {ts[bad]!r}")
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise NonFiniteSample(f"map produced a non-finite value at t = {ts[np.argmax(bad)]!r}")
     return Waveform(vals, sample_interval, start_time)
 
 
 def alias_frequency(f: float, sample_rate: float) -> float:
     """Fold f into the principal band [-Fs/2, Fs/2), congruent mod Fs."""
-    if not sample_rate > 0.0:
-        raise NonPositiveInterval(f"sample_rate must be > 0, got {sample_rate!r}")
+    _require_positive("sample_rate", sample_rate)
     half = 0.5 * sample_rate
     return (float(f) + half) % sample_rate - half
 
 
 def convolve_linear(x: Sequence[complex], y: Sequence[complex]) -> np.ndarray:
-    """Direct linear convolution; output length len(x) + len(y) - 1."""
+    """Direct O(len(x) len(y)) linear convolution; output length len(x) + len(y) - 1."""
     xa = np.asarray(x, dtype=np.complex128).reshape(-1)
     ya = np.asarray(y, dtype=np.complex128).reshape(-1)
     if xa.size == 0 or ya.size == 0:
         raise LengthMismatch("convolution needs nonempty sequences")
-    out = np.zeros(xa.size + ya.size - 1, dtype=np.complex128)
-    for m, xv in enumerate(xa):
-        out[m:m + ya.size] += xv * ya
-    return out
+    return np.convolve(xa, ya)
 
 
 def convolve_circular(x: Sequence[complex], y: Sequence[complex]) -> np.ndarray:
@@ -104,6 +101,8 @@ def sinc_reconstruct(w: Waveform, t: float, taps: int) -> complex:
     validate_waveform(w)
     if taps < 1:
         raise InvalidParameter(f"taps must be >= 1, got {taps}")
+    if not math.isfinite(t):
+        raise InvalidParameter(f"t must be finite, got {t!r}")
     pos = (float(t) - w.start_time) / w.sample_interval
     anchor = int(np.floor(pos))
     lo = max(0, anchor - taps + 1)
@@ -121,22 +120,24 @@ def sample_spectrum(spectrum_map: Callable[[float], complex], bin_spacing: float
 
     Returns the line spectrum as an impulse train and a waveform holding
     x(t) = sum_k X(k F) exp(i 2 pi k F t) sampled over two periods of 1/F,
-    oversampled four times past the highest line.
+    oversampled four times past the highest line: one transform of the
+    lines placed at bins -k mod 4 * count.  The waveform is tagged real,
+    keeping the real part, exactly when X(-kF) = conj(X(kF)) for every line
+    (a line whose partner was not sampled pairs with 0).
     """
-    if not bin_spacing > 0.0:
-        raise NonPositiveInterval(f"bin_spacing must be > 0, got {bin_spacing!r}")
+    _require_positive("bin_spacing", bin_spacing)
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
     ks = np.arange(-(count // 2), count - count // 2)
-    weights = np.array([complex(spectrum_map(k * bin_spacing)) for k in ks])
+    weights = _eval_map(spectrum_map, ks * bin_spacing, complex)
     train = ImpulseTrain(tuple(zip((ks * bin_spacing).tolist(), weights.tolist())),
                          domain=FREQUENCY)
 
     per_period = 4 * count
+    lines = np.zeros(per_period, dtype=np.complex128)
+    lines[-ks % per_period] = weights
+    samples = np.tile(_fft_raw(lines), 2)
     interval = 1.0 / (bin_spacing * per_period)
-    ts = interval * np.arange(2 * per_period)
-    phases = np.exp(2j * np.pi * bin_spacing * np.outer(ts, ks))
-    samples = phases @ weights
-    if np.all(samples.imag == 0.0):
+    if np.array_equal(lines, np.conj(lines[-np.arange(per_period) % per_period])):
         return train, Waveform(samples.real, interval, 0.0)
     return train, Waveform(samples, interval, 0.0)

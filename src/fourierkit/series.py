@@ -19,8 +19,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import InvalidParameter, NonPositiveInterval, _eval_map
-from .transforms import QuadratureSpec, _fft_raw
+from .core import InvalidParameter, _eval_map, _match, _require_positive
+from .transforms import QuadratureSpec, _BLOCK_ENTRIES, _fft_raw
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +42,7 @@ class SeriesCoefficients:
         sin = np.asarray(self.sine, dtype=float).reshape(-1)
         if cos.size != sin.size:
             raise InvalidParameter("cosine and sine coefficient counts differ")
-        if not self.period > 0.0:
-            raise NonPositiveInterval(f"period must be > 0, got {self.period!r}")
+        _require_positive("period", self.period)
         cos.setflags(write=False)
         sin.setflags(write=False)
         object.__setattr__(self, "cosine", cos)
@@ -65,8 +64,7 @@ class ComplexSeriesCoefficients:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", dict(self.terms))
-        if not self.period > 0.0:
-            raise NonPositiveInterval(f"period must be > 0, got {self.period!r}")
+        _require_positive("period", self.period)
 
     @property
     def harmonics(self) -> int:
@@ -128,8 +126,7 @@ def series_coefficients(map: Callable[[float], float], period: float, k: int,
     would be exceeded; unmet coefficients are flagged in ``converged``
     rather than raised.
     """
-    if not period > 0.0:
-        raise NonPositiveInterval(f"period must be > 0, got {period!r}")
+    _require_positive("period", period)
     if k < 0:
         raise InvalidParameter(f"harmonic count must be >= 0, got {k}")
     v, flags = _refine(map, period, k, 64, spec, True, lambda c: np.r_[c.real, -c.imag[1:]])
@@ -147,8 +144,7 @@ def half_series_coefficients(map: Callable[[float], float], extent: float, kind:
     """
     if kind not in ("cosine", "sine"):
         raise InvalidParameter(f"kind must be 'cosine' or 'sine', got {kind!r}")
-    if not extent > 0.0:
-        raise NonPositiveInterval(f"extent must be > 0, got {extent!r}")
+    _require_positive("extent", extent)
     if k < 0:
         raise InvalidParameter(f"harmonic count must be >= 0, got {k}")
     if kind == "cosine":
@@ -159,16 +155,19 @@ def half_series_coefficients(map: Callable[[float], float], extent: float, kind:
 
 
 def series_synthesize(c: SeriesCoefficients, t) -> float:
-    """Partial sum a0 + sum_n a_n cos(2 pi n t / P) + b_n sin(2 pi n t / P)."""
+    """Partial sum a0 + sum_n a_n cos(2 pi n t / P) + b_n sin(2 pi n t / P),
+    in blocks of points so the (points, K) angle matrices never exist whole."""
     ts = np.asarray(t, dtype=float)
-    if c.harmonics == 0:
-        out = np.full(ts.shape, c.a0)
-    else:
-        angles = np.multiply.outer(ts, np.arange(1, c.harmonics + 1)) * (2.0 * np.pi / c.period)
-        out = c.a0 + np.cos(angles) @ c.cosine + np.sin(angles) @ c.sine
-    if np.isscalar(t) or ts.ndim == 0:
-        return float(out)
-    return out
+    out = np.full(ts.size, c.a0)
+    if c.harmonics:
+        flat, m = ts.reshape(-1), np.arange(1, c.harmonics + 1)
+        # whole multiples of 64 rows keep each row on the kernel path of one
+        # unblocked single-threaded BLAS product, so blocking moves no bits
+        rows = max(64, _BLOCK_ENTRIES // c.harmonics // 64 * 64)
+        for lo in range(0, flat.size, rows):
+            angles = np.multiply.outer(flat[lo:lo + rows], m) * (2.0 * np.pi / c.period)
+            out[lo:lo + rows] = c.a0 + np.cos(angles) @ c.cosine + np.sin(angles) @ c.sine
+    return _match(t, out.reshape(ts.shape), float)
 
 
 def to_complex(c: SeriesCoefficients) -> ComplexSeriesCoefficients:

@@ -21,6 +21,7 @@ from .core import (
     TFDistribution,
     Waveform,
     ZeroEnergy,
+    _match,
     validate_waveform,
 )
 from .transforms import _fft_raw, _ifft_raw, bin_frequencies
@@ -56,9 +57,7 @@ def gabor_atom_eval(g: GaborAtom, t):
     ts = np.asarray(t, dtype=float)
     out = np.exp(-(g.alpha ** 2) * (ts - g.t0) ** 2
                  + 1j * (2.0 * np.pi * g.f0 * ts + g.phase))
-    if np.isscalar(t) or ts.ndim == 0:
-        return complex(out)
-    return out
+    return _match(t, out, complex)
 
 
 def gabor_atom_spectrum(g: GaborAtom, f):
@@ -72,9 +71,7 @@ def gabor_atom_spectrum(g: GaborAtom, f):
     df = fs - g.f0
     out = np.exp(-((np.pi / g.alpha) ** 2) * df ** 2
                  + 1j * (g.phase - 2.0 * np.pi * g.t0 * df))
-    if np.isscalar(f) or fs.ndim == 0:
-        return complex(out)
-    return out
+    return _match(f, out, complex)
 
 
 def stft(w: Waveform, window_alpha: float, hop: int, frame: int) -> TFDistribution:
@@ -92,8 +89,8 @@ def stft(w: Waveform, window_alpha: float, hop: int, frame: int) -> TFDistributi
         row time at the frame center, columns in transform bin order.
     """
     validate_waveform(w)
-    if window_alpha < 0.0:
-        raise InvalidParameter(f"window_alpha must be >= 0, got {window_alpha!r}")
+    if not 0.0 <= window_alpha < math.inf:
+        raise InvalidParameter(f"window_alpha must be finite and >= 0, got {window_alpha!r}")
     if hop < 1:
         raise InvalidParameter(f"hop must be >= 1, got {hop}")
     if frame < 1:

@@ -41,6 +41,7 @@ from .core import (
     ToleranceNotReached,
     Waveform,
     _eval_map,
+    _require_positive,
     validate_waveform,
 )
 
@@ -53,6 +54,9 @@ SINE = "sine"
 # ---------------------------------------------------------------------------
 # discrete transforms
 # ---------------------------------------------------------------------------
+
+_BLOCK_ENTRIES = 2_000_000  # entries per block of a direct sum's kernel matrix
+
 
 def _dft_raw(x: np.ndarray, sign: float = -1.0) -> np.ndarray:
     """Direct summation sum_n x[n] exp(sign * i 2 pi k n / N).
@@ -69,7 +73,7 @@ def _dft_raw(x: np.ndarray, sign: float = -1.0) -> np.ndarray:
     out = np.empty(n, dtype=np.complex128)
     idx = np.arange(n, dtype=np.int64)
     roots = np.exp((sign * 2j * np.pi / n) * idx)
-    chunk = max(1, 2_000_000 // n)
+    chunk = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, n, chunk):
         ang = idx[lo:lo + chunk, None] * idx
         ang %= n  # in place: one index matrix per chunk, not two
@@ -282,8 +286,7 @@ def ifft(s: Spectrum) -> Waveform:
 def _require_bins(s: Spectrum) -> int:
     if len(s) == 0:
         raise EmptyBins("spectrum has no bins")
-    if not (s.bin_spacing > 0.0) or not np.isfinite(s.bin_spacing):
-        raise NonPositiveInterval(f"bin_spacing must be > 0, got {s.bin_spacing!r}")
+    _require_positive("bin_spacing", s.bin_spacing)
     return len(s)
 
 
@@ -298,27 +301,24 @@ def dtft_eval(w: Waveform, f: float) -> complex:
     return complex(np.dot(w.samples, np.exp(-2j * np.pi * f * w.sample_interval * n)))
 
 
-def bin_to_frequency(k: int, n: int, sample_rate: float) -> float:
-    """Frequency in Hz of bin k: k*Fs/N below the midpoint, negative above."""
+def _bin_frequency(k, n: int, sample_rate: float):
+    """Frequency in Hz of bin k (an int or int array): k*Fs/N below the midpoint, negative above."""
     if n < 1:
         raise EmptyBins(f"bin count must be >= 1, got {n}")
-    if not sample_rate > 0.0:
-        raise NonPositiveInterval(f"sample_rate must be > 0, got {sample_rate!r}")
-    if not 0 <= k < n:
+    _require_positive("sample_rate", sample_rate)
+    return np.where(k < (n + 1) // 2, k, k - n) * sample_rate / n
+
+
+def bin_to_frequency(k: int, n: int, sample_rate: float) -> float:
+    """Frequency in Hz of bin k: k*Fs/N below the midpoint, negative above."""
+    if n >= 1 and not 0 <= k < n:  # an empty n is reported as EmptyBins
         raise IndexOutOfRange(f"bin {k} outside 0..{n - 1}")
-    if k < (n + 1) // 2:
-        return k * sample_rate / n
-    return (k - n) * sample_rate / n
+    return float(_bin_frequency(k, n, sample_rate))
 
 
 def bin_frequencies(n: int, sample_rate: float) -> np.ndarray:
     """Frequencies in Hz of bins 0..n-1, each equal to ``bin_to_frequency``."""
-    if n < 1:
-        raise EmptyBins(f"bin count must be >= 1, got {n}")
-    if not sample_rate > 0.0:
-        raise NonPositiveInterval(f"sample_rate must be > 0, got {sample_rate!r}")
-    k = np.arange(n)
-    return np.where(k < (n + 1) // 2, k, k - n) * sample_rate / n
+    return _bin_frequency(np.arange(n), n, sample_rate)
 
 
 def centered(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,9 @@
 """Value types: construction, validation, jump conventions, config parsing."""
 
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,7 +100,7 @@ def test_bad_arguments_raise_invalid_parameter():
     from fourierkit import (InvalidParameter, QuadratureSpec, SeriesCoefficients,
                             dirichlet_closed, dirichlet_sum, half_series_coefficients,
                             half_transform, make_comb, quad_ft, sample, sample_spectrum,
-                            series_coefficients, sinc_reconstruct)
+                            series_coefficients, sinc_reconstruct, stft)
     f = lambda x: 1.0  # noqa: E731
     window = QuadratureSpec(0.0, 1.0)
     calls = [
@@ -109,6 +111,10 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: sample(f, 1.0, 0),
         lambda: sample_spectrum(f, 1.0, 0),
         lambda: sinc_reconstruct(Waveform(np.ones(4), 1.0), 0.5, 0),
+        lambda: sinc_reconstruct(Waveform(np.ones(4), 1.0), math.nan, 2),
+        lambda: sinc_reconstruct(Waveform(np.ones(4), 1.0), math.inf, 2),
+        lambda: stft(Waveform(np.ones(8), 1.0), math.nan, 1, 4),
+        lambda: stft(Waveform(np.ones(8), 1.0), math.inf, 1, 4),
         lambda: dirichlet_sum(-1, 0.3),
         lambda: dirichlet_closed(-1, 0.3),
         lambda: make_comb(1.0, 0),
@@ -145,6 +151,36 @@ def test_quadrature_window_must_be_finite(lower, upper):
     from fourierkit import QuadratureSpec
     with pytest.raises(NonPositiveInterval):
         QuadratureSpec(lower, upper)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("sample", (math.cos, math.inf, 4)),
+    ("sample_spectrum", (math.cos, math.inf, 4)),
+    ("series_coefficients", (math.cos, math.inf, 2)),
+    ("half_series_coefficients", (math.cos, math.inf, "cosine", 2)),
+    ("alias_frequency", (1.0, math.inf)),
+])
+def test_intervals_must_be_finite(name, args):
+    import fourierkit
+    with pytest.raises(NonPositiveInterval):
+        getattr(fourierkit, name)(*args)
+
+
+def test_source_never_delegates_the_transforms():
+    # the transforms are implemented here: numpy.fft and scipy are test oracles only
+    for path in sorted((Path(__file__).parents[1] / "src" / "fourierkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            for name in names:
+                assert not re.match(r"(np|numpy)\.fft\b|scipy\b", name), \
+                    f"{path.name}:{node.lineno} uses {name}"
 
 
 def test_spectrum_basics():

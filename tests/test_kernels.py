@@ -1,11 +1,13 @@
 """Kernel identities: Dirichlet forms, rect/sinc/step conventions, combs."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from fourierkit import (
+    ImpulseTrain,
     NonPositiveInterval,
     QuadratureSpec,
     dirichlet_closed,
@@ -141,3 +143,17 @@ def test_sift_complex_map():
     train = make_comb(1.0, 3)
     got = sift(train, lambda t: complex(t, -t))
     assert got == pytest.approx(3.0 - 3.0j, abs=1e-15)
+
+
+def test_sift_array_map_is_called_once():
+    train = ImpulseTrain(((-1.0, 2.0), (0.5, 1j), (2.0, -0.5)))
+    shapes = []
+
+    def tone(t):
+        shapes.append(np.shape(t))
+        return np.exp(1j * np.asarray(t))
+
+    got = sift(train, tone)
+    want = sum(wt * cmath.exp(1j * loc) for loc, wt in train.impulses)
+    assert shapes == [(3,)]
+    assert got == pytest.approx(want, abs=1e-15)

@@ -101,13 +101,15 @@ def test_alias_tone_is_sample_identical():
 # convolution
 # ---------------------------------------------------------------------------
 
-def test_convolve_linear_against_numpy():
+def test_convolve_linear_against_direct_sum():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(7)
     y = rng.standard_normal(5)
     got = convolve_linear(x, y)
     assert got.size == 11
-    assert np.max(np.abs(got - np.convolve(x, y))) <= 1e-13
+    want = np.array([sum(x[m] * y[k - m] for m in range(7) if 0 <= k - m < 5)
+                     for k in range(11)])
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_convolve_linear_identity_and_commutativity():
@@ -295,6 +297,43 @@ def test_sample_spectrum_single_line_is_complex():
     assert w.tag == "complex"
     want = np.exp(2j * np.pi * w.times)
     assert np.max(np.abs(w.samples - want)) <= 1e-12
+
+
+def test_sample_spectrum_conjugate_symmetric_lines_are_real():
+    # real even lines, and the odd imaginary pair -i/2, +i/2 at +-1 Hz: sin(2 pi t)
+    _, w = sample_spectrum(lambda f: math.exp(-f * f), 0.5, 9)
+    assert w.tag == "real"
+    _, w = sample_spectrum(lambda f: 0.5j * (abs(f + 1.0) < 1e-9) - 0.5j * (abs(f - 1.0) < 1e-9),
+                           0.5, 9)
+    assert w.tag == "real"
+    assert np.max(np.abs(w.samples.real - np.sin(2.0 * np.pi * w.times))) <= 1e-12
+    # with an even count the line at -count/2 has no partner, so it is complex
+    _, w = sample_spectrum(lambda f: math.exp(-f * f), 0.5, 8)
+    assert w.tag == "complex"
+
+
+def test_sample_spectrum_matches_integer_phase_oracle():
+    count, spacing = 101, 0.1
+    _, w = sample_spectrum(lambda f: math.exp(-f * f), spacing, count)
+    ks = np.arange(-(count // 2), count - count // 2)
+    weights = np.array([math.exp(-f * f) for f in ks * spacing])
+    per_period = 4 * count
+    j = np.arange(2 * per_period)
+    # j * k reduced mod the period in integers, so no phase carries rounding
+    want = np.exp(2j * np.pi * ((np.outer(j, ks) % per_period) / per_period)) @ weights
+    assert np.max(np.abs(w.samples - want)) <= 2e-14
+
+
+def test_sample_spectrum_memory_stays_linear():
+    # a (2 * 4 * count, count) phase matrix would need about 128 MiB here
+    tracemalloc.start()
+    try:
+        _, w = sample_spectrum(lambda f: math.exp(-f * f), 0.01, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w) == 8 * 1024
+    assert peak < 2 * 10 ** 6
 
 
 def test_sample_spectrum_validation():

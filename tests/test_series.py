@@ -1,6 +1,7 @@
 """Series analysis: coefficient recovery, jump behavior, form conversions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,23 @@ def test_synthesize_scalar_and_array_agree():
     vec = series_synthesize(c, ts)
     assert isinstance(series_synthesize(c, 0.3), float)
     assert vec[1] == series_synthesize(c, 0.3)
+
+
+def test_synthesize_memory_stays_bounded():
+    # the whole (points, K) angle matrix alone would take about 76 MiB here
+    k, points = 100, 100_000
+    c = SeriesCoefficients(0.1, np.full(k, 0.01), np.full(k, -0.02), period=1.0)
+    ts = np.linspace(0.0, 2.0, points)
+    tracemalloc.start()
+    try:
+        out = series_synthesize(c, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (points,)
+    assert peak < 48 * 2 ** 20
+    for i in (0, 12345, points // 2, points - 1):
+        assert out[i] == pytest.approx(series_synthesize(c, ts[i]), abs=1e-12)
 
 
 def test_synthesize_mean_only():
