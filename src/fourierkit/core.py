@@ -4,7 +4,10 @@ share: map evaluation, scalar-or-array results and the interval check.
 
 Every type here is an immutable value object.  Operations in the rest of the
 package take these values and return new ones; nothing is mutated in place,
-so instances are safe to share between threads.
+so instances are safe to share between threads.  A Waveform's real tag is
+checked once, when it is built, and a real-tagged Waveform owns its samples.
+Other arrays passed to a constructor are not copied when numpy can use them
+as they are, so they must not be written afterwards.
 """
 
 from __future__ import annotations
@@ -82,17 +85,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _eval_map(map: Callable, xs: np.ndarray, kind: type) -> np.ndarray:
-    """Values of ``map`` at the points ``xs`` as a ``kind`` (float or complex)
+def _eval_map(fn: Callable, xs: np.ndarray, kind: type) -> np.ndarray:
+    """Values of ``fn`` at the points ``xs`` as a ``kind`` (float or complex)
     array: one call on the whole array when the map takes it and answers one
-    value per point, otherwise one call per point."""
+    value per point, otherwise one call per point on a Python float, each
+    value converted by ``kind``."""
     try:
-        vals = np.asarray(map(xs), dtype=kind)
+        vals = np.asarray(fn(xs), dtype=kind)
         if vals.shape == xs.shape:
             return vals
     except (TypeError, ValueError):
         pass
-    return np.array([kind(map(float(x))) for x in xs], dtype=kind)
+    return np.fromiter(map(kind, map(fn, xs.astype(float, copy=False).tolist())), kind, xs.size)
 
 
 def _match(x, out: np.ndarray, kind: type):
@@ -112,7 +116,13 @@ class Waveform:
 
     Samples are stored as complex128 regardless of tag; ``tag == "real"``
     asserts that every imaginary part is exactly zero.  When ``tag`` is
-    omitted it is inferred from the data.
+    omitted it is inferred from the data; an explicit real tag on data with
+    a nonzero imaginary part raises RealTagViolation here, once.
+
+    A real-tagged waveform owns its samples: a complex128 array passed in is
+    copied, so later writes to it cannot break the tag.  Other samples are
+    not copied when ``np.asarray`` can use them as they are; do not write to
+    such an array afterwards.
     """
 
     samples: np.ndarray
@@ -121,13 +131,18 @@ class Waveform:
     tag: str | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.complex128).reshape(-1)
+        given = np.asarray(self.samples, dtype=np.complex128)
+        real = bool(np.all(given.imag == 0.0))
+        if self.tag is None:
+            object.__setattr__(self, "tag", REAL if real else COMPLEX)
+        elif self.tag == REAL and not real:
+            raise RealTagViolation("waveform tagged real has nonzero imaginary parts")
+        arr = given.reshape(-1)
+        if self.tag == REAL and (given is self.samples or not given.flags.owndata):
+            arr = arr.copy()  # the caller's own memory: it could still write to it
         object.__setattr__(self, "samples", _frozen(arr))
         object.__setattr__(self, "sample_interval", float(self.sample_interval))
         object.__setattr__(self, "start_time", float(self.start_time))
-        if self.tag is None:
-            inferred = REAL if np.all(arr.imag == 0.0) else COMPLEX
-            object.__setattr__(self, "tag", inferred)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -145,13 +160,13 @@ class Waveform:
 def validate_waveform(w: Waveform) -> Waveform:
     """Check waveform invariants and return the same value unchanged.
 
-    Raises NonPositiveInterval, EmptySamples, or RealTagViolation.
+    Raises NonPositiveInterval or EmptySamples.  The work is O(1): the real
+    tag was checked when the Waveform was built, and a real-tagged waveform
+    owns its samples, so they cannot have changed since.
     """
     _require_positive("sample_interval", w.sample_interval)
     if w.samples.size == 0:
         raise EmptySamples("waveform has no samples")
-    if w.tag == REAL and np.any(w.samples.imag != 0.0):
-        raise RealTagViolation("waveform tagged real has nonzero imaginary parts")
     if w.tag not in (REAL, COMPLEX):
         raise FourierKitError(f"unknown tag {w.tag!r}")
     return w
@@ -263,8 +278,8 @@ class GaborAtom:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
-            raise InvalidParameter(f"alpha must be > 0, got {self.alpha!r}")
+        if not 0.0 < self.alpha < np.inf:
+            raise InvalidParameter(f"alpha must be finite and > 0, got {self.alpha!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,14 @@ from .kernels import rect, sinc
 from .transforms import _fft_raw
 
 
+def _require_finite(vals: np.ndarray, at: np.ndarray, name: str) -> None:
+    """Raise NonFiniteSample at the first point of ``at`` whose value is not finite."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise NonFiniteSample(f"map produced a non-finite value at {name} = "
+                              f"{float(at[np.argmax(bad)])!r}")
+
+
 def sample(map: Callable[[float], complex], sample_interval: float, count: int,
            start_time: float = 0.0) -> Waveform:
     """Evaluate a map at t0 + n*T for n = 0..count-1.
@@ -37,11 +45,11 @@ def sample(map: Callable[[float], complex], sample_interval: float, count: int,
     _require_positive("sample_interval", sample_interval)
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
+    if not math.isfinite(start_time):
+        raise InvalidParameter(f"start_time must be finite, got {start_time!r}")
     ts = start_time + sample_interval * np.arange(count)
     vals = _eval_map(map, ts, complex)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise NonFiniteSample(f"map produced a non-finite value at t = {ts[np.argmax(bad)]!r}")
+    _require_finite(vals, ts, "t")
     return Waveform(vals, sample_interval, start_time)
 
 
@@ -123,15 +131,17 @@ def sample_spectrum(spectrum_map: Callable[[float], complex], bin_spacing: float
     oversampled four times past the highest line: one transform of the
     lines placed at bins -k mod 4 * count.  The waveform is tagged real,
     keeping the real part, exactly when X(-kF) = conj(X(kF)) for every line
-    (a line whose partner was not sampled pairs with 0).
+    (a line whose partner was not sampled pairs with 0).  Raises
+    NonFiniteSample if the map produces NaN or infinity.
     """
     _require_positive("bin_spacing", bin_spacing)
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
     ks = np.arange(-(count // 2), count - count // 2)
-    weights = _eval_map(spectrum_map, ks * bin_spacing, complex)
-    train = ImpulseTrain(tuple(zip((ks * bin_spacing).tolist(), weights.tolist())),
-                         domain=FREQUENCY)
+    freqs = ks * bin_spacing
+    weights = _eval_map(spectrum_map, freqs, complex)
+    _require_finite(weights, freqs, "f")
+    train = ImpulseTrain(tuple(zip(freqs.tolist(), weights.tolist())), domain=FREQUENCY)
 
     per_period = 4 * count
     lines = np.zeros(per_period, dtype=np.complex128)

@@ -297,6 +297,8 @@ def dtft_eval(w: Waveform, f: float) -> complex:
     with period 1/T.  The waveform's start time does not enter.
     """
     validate_waveform(w)
+    if not math.isfinite(f):
+        raise InvalidParameter(f"frequency must be finite, got {f!r}")
     n = np.arange(len(w))
     return complex(np.dot(w.samples, np.exp(-2j * np.pi * f * w.sample_interval * n)))
 

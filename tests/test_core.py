@@ -73,6 +73,31 @@ def test_validate_waveform_rejects_empty():
 def test_validate_waveform_rejects_false_real_tag():
     with pytest.raises(RealTagViolation):
         validate_waveform(Waveform([1.0 + 2.0j], 1.0, tag=REAL))
+    # the constructor raises, once, so validate_waveform need not scan
+    for data in ([1.0 + 2.0j], np.array([0.0, 1e-300j])):
+        with pytest.raises(RealTagViolation):
+            Waveform(data, 1.0, tag="real")
+
+
+@pytest.mark.parametrize("tag", [None, REAL])
+def test_real_tagged_waveform_owns_its_samples(tag):
+    # the caller's complex128 array, a strided view of it and a buffer over it
+    x = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.complex128)
+    waves = [Waveform(x, 1.0, tag=tag), Waveform(x[::2], 1.0, tag=tag),
+             Waveform(memoryview(x), 1.0, tag=tag)]
+    x[:] = [1j, 2j, 3j, 4j]
+    for w, want in zip(waves, ([1.0, 2.0, 3.0, 4.0], [1.0, 3.0], [1.0, 2.0, 3.0, 4.0])):
+        assert w.tag == REAL
+        assert np.array_equal(w.samples, want)
+        validate_waveform(w)
+
+
+def test_complex_tagged_waveform_does_not_copy_its_samples():
+    # only a real tag needs its own copy; a complex one holds any data
+    x = np.array([1.0, 2.0j], dtype=np.complex128)
+    assert np.shares_memory(Waveform(x, 1.0).samples, x)
+    y = np.array([1.0, 2.0], dtype=np.complex128)
+    assert np.shares_memory(Waveform(y, 1.0, tag=COMPLEX).samples, y)
 
 
 def test_errors_subclass_builtin_families():
@@ -98,7 +123,7 @@ def test_errors_subclass_builtin_families():
 
 def test_bad_arguments_raise_invalid_parameter():
     from fourierkit import (InvalidParameter, QuadratureSpec, SeriesCoefficients,
-                            dirichlet_closed, dirichlet_sum, half_series_coefficients,
+                            dirichlet_closed, dirichlet_sum, dtft_eval, half_series_coefficients,
                             half_transform, make_comb, quad_ft, sample, sample_spectrum,
                             series_coefficients, sinc_reconstruct, stft)
     f = lambda x: 1.0  # noqa: E731
@@ -122,6 +147,11 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: ImpulseTrain(((0.0, 1.0),), domain="space"),
         lambda: SegmentedFunction(((0.0, 2.0, f), (1.0, 3.0, f))),
         lambda: GaborAtom(0.0, 1.0, 0.0),
+        lambda: GaborAtom(0.0, 1.0, math.inf),
+        lambda: sample(f, 1.0, 4, start_time=math.nan),
+        lambda: sample(f, 1.0, 4, start_time=-math.inf),
+        lambda: dtft_eval(Waveform(np.ones(8), 1.0), math.nan),
+        lambda: dtft_eval(Waveform(np.ones(8), 1.0), math.inf),
         lambda: TFDistribution(np.zeros((1, 1)), [0.0], [0.0], kind="scalogram"),
         lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=0),
         lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=math.nan),
@@ -232,6 +262,9 @@ def test_gabor_atom_requires_positive_alpha():
         GaborAtom(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         GaborAtom(0.0, 1.0, -1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            GaborAtom(0.0, 1.0, bad)
 
 
 def test_tfdistribution_checks_shape_and_kind():

@@ -1,6 +1,7 @@
 """Sampling, aliasing, windowing, convolutions, and sinc reconstruction."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from fourierkit import (
     sinc_reconstruct,
     window_rect,
 )
+from fourierkit.core import _eval_map
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +44,27 @@ def test_sample_calls_a_map_per_point_unless_it_answers_every_point():
     assert np.array_equal(sample(lambda t: 2.0, 0.5, 4).samples, np.full(4, 2.0))
     got = sample(lambda t: t[:2] if np.ndim(t) else t, 1.0, 5)
     assert np.array_equal(got.samples, np.arange(5.0))
+    # float(t) fails on the whole array, so each map runs point by point on a
+    # Python float, and every return type converts as complex() and float() do
+    ts = np.arange(5.0)
+    returns = [
+        (lambda t: int(float(t)) * 3, [0.0, 3.0, 6.0, 9.0, 12.0]),
+        (lambda t: float(t) > 2.0, [0.0, 0.0, 0.0, 1.0, 1.0]),
+        (lambda t: float(t) / 4.0, [0.0, 0.25, 0.5, 0.75, 1.0]),
+        (lambda t: np.float64(float(t)) * 0.5, [0.0, 0.5, 1.0, 1.5, 2.0]),
+        (lambda t: np.array(float(t) - 1.5), [-1.5, -0.5, 0.5, 1.5, 2.5]),
+    ]
+    for fn, want in returns:
+        assert np.array_equal(sample(fn, 1.0, 5).samples, np.array(want, dtype=complex))
+        got = _eval_map(fn, ts, float)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    got = sample(lambda t: complex(float(t), -1.0), 1.0, 5)
+    assert np.array_equal(got.samples, ts - 1j) and got.tag == "complex"
+    with pytest.raises(TypeError):
+        _eval_map(lambda t: complex(float(t), -1.0), ts, float)
+    # integer sample times still reach a per-point map as Python floats
+    got = sample(lambda t: 1.0 if type(t) is float else None, 1, 4, start_time=0)
+    assert np.array_equal(got.samples, np.ones(4))
 
 
 def test_sample_tags_real_and_complex():
@@ -262,6 +285,24 @@ def test_reconstruct_rejects_bad_taps():
         sinc_reconstruct(Waveform([1.0], 1.0), 0.5, 0)
 
 
+def test_reconstruct_costs_the_taps_not_the_record():
+    # a call reads 2 * taps samples; a scan of the whole record per call would
+    # make the 2^20-sample one about a hundred times slower than the 2^10 one
+    rng = np.random.default_rng(9)
+
+    def per_call(n):
+        w = Waveform(rng.standard_normal(n), 1.0)
+        best = math.inf
+        for _ in range(7):
+            start = time.perf_counter()
+            for k in range(50):
+                sinc_reconstruct(w, 500.3 + 0.01 * k, 16)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    assert per_call(1 << 20) < 10.0 * per_call(1 << 10)
+
+
 # ---------------------------------------------------------------------------
 # spectrum sampling
 # ---------------------------------------------------------------------------
@@ -341,3 +382,10 @@ def test_sample_spectrum_validation():
         sample_spectrum(lambda f: 0.0, 0.0, 4)
     with pytest.raises(ValueError):
         sample_spectrum(lambda f: 0.0, 1.0, 0)
+
+
+def test_sample_spectrum_rejects_non_finite_lines():
+    with pytest.raises(NonFiniteSample):
+        sample_spectrum(lambda f: math.nan, 1.0, 4)
+    with pytest.raises(NonFiniteSample, match="f = 2.0"):
+        sample_spectrum(lambda f: complex(1.0, math.inf) if f == 2.0 else 1.0, 1.0, 5)
