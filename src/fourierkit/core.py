@@ -4,14 +4,16 @@ share: map evaluation, scalar-or-array results and the interval check.
 
 Every type here is an immutable value object.  Operations in the rest of the
 package take these values and return new ones; nothing is mutated in place,
-so instances are safe to share between threads.  A Waveform's real tag is
-checked once, when it is built, and a real-tagged Waveform owns its samples.
-Other arrays passed to a constructor are not copied when numpy can use them
-as they are, so they must not be written afterwards.
+so instances are safe to share between threads.  A Waveform and a Spectrum
+check every invariant once, when they are built, and operations never
+re-check them.  A real-tagged Waveform owns its samples.  Other arrays passed
+to a constructor are not copied when numpy can use them as they are, so they
+must not be written afterwards; the caller's array itself stays writable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,8 +83,10 @@ class ParseError(FourierKitError, ValueError):
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+    """A read-only view of ``a``; ``a`` itself stays writable."""
+    v = a.view()
+    v.setflags(write=False)
+    return v
 
 
 def _eval_map(fn: Callable, xs: np.ndarray, kind: type) -> np.ndarray:
@@ -119,6 +123,11 @@ class Waveform:
     omitted it is inferred from the data; an explicit real tag on data with
     a nonzero imaginary part raises RealTagViolation here, once.
 
+    The other invariants are checked here too, and operations never
+    re-check them: NonPositiveInterval unless 0 < sample_interval < inf,
+    EmptySamples for no samples, InvalidParameter for an unknown tag or a
+    non-finite start_time.
+
     A real-tagged waveform owns its samples: a complex128 array passed in is
     copied, so later writes to it cannot break the tag.  Other samples are
     not copied when ``np.asarray`` can use them as they are; do not write to
@@ -137,12 +146,20 @@ class Waveform:
             object.__setattr__(self, "tag", REAL if real else COMPLEX)
         elif self.tag == REAL and not real:
             raise RealTagViolation("waveform tagged real has nonzero imaginary parts")
+        interval, start = float(self.sample_interval), float(self.start_time)
+        _require_positive("sample_interval", interval)
+        if given.size == 0:
+            raise EmptySamples("waveform has no samples")
+        if self.tag not in (REAL, COMPLEX):
+            raise InvalidParameter(f"unknown tag {self.tag!r}")
+        if not math.isfinite(start):
+            raise InvalidParameter(f"start_time must be finite, got {start!r}")
         arr = given.reshape(-1)
         if self.tag == REAL and (given is self.samples or not given.flags.owndata):
             arr = arr.copy()  # the caller's own memory: it could still write to it
         object.__setattr__(self, "samples", _frozen(arr))
-        object.__setattr__(self, "sample_interval", float(self.sample_interval))
-        object.__setattr__(self, "start_time", float(self.start_time))
+        object.__setattr__(self, "sample_interval", interval)
+        object.__setattr__(self, "start_time", start)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -158,17 +175,11 @@ class Waveform:
 
 
 def validate_waveform(w: Waveform) -> Waveform:
-    """Check waveform invariants and return the same value unchanged.
+    """Return ``w`` unchanged.
 
-    Raises NonPositiveInterval or EmptySamples.  The work is O(1): the real
-    tag was checked when the Waveform was built, and a real-tagged waveform
-    owns its samples, so they cannot have changed since.
+    Every Waveform checked its invariants when it was built and cannot
+    change since, so nothing is left to check; operations do not call this.
     """
-    _require_positive("sample_interval", w.sample_interval)
-    if w.samples.size == 0:
-        raise EmptySamples("waveform has no samples")
-    if w.tag not in (REAL, COMPLEX):
-        raise FourierKitError(f"unknown tag {w.tag!r}")
     return w
 
 
@@ -179,6 +190,9 @@ class Spectrum:
     Bin ordering follows the transform itself: bin 0 is DC and bins past
     the midpoint wrap to negative frequencies.  ``centered`` in transforms
     reorders for display only.
+
+    Built with at least one bin (else EmptyBins) and 0 < bin_spacing < inf
+    (else NonPositiveInterval); operations never re-check these.
     """
 
     bins: np.ndarray
@@ -186,8 +200,12 @@ class Spectrum:
 
     def __post_init__(self):
         arr = np.asarray(self.bins, dtype=np.complex128).reshape(-1)
+        if arr.size == 0:
+            raise EmptyBins("spectrum has no bins")
+        spacing = float(self.bin_spacing)
+        _require_positive("bin_spacing", spacing)
         object.__setattr__(self, "bins", _frozen(arr))
-        object.__setattr__(self, "bin_spacing", float(self.bin_spacing))
+        object.__setattr__(self, "bin_spacing", spacing)
 
     def __len__(self) -> int:
         return self.bins.size

@@ -21,7 +21,6 @@ from .core import (
     Waveform,
     _eval_map,
     _require_positive,
-    validate_waveform,
 )
 from .kernels import rect, sinc
 from .transforms import _fft_raw
@@ -93,7 +92,6 @@ def window_rect(w: Waveform, width: float, center: float) -> Waveform:
     Samples landing exactly on a window edge are halved, matching the
     rectangle kernel's jump convention.
     """
-    validate_waveform(w)
     gains = rect(w.times - center, width)
     return Waveform(w.samples * gains, w.sample_interval, w.start_time, tag=w.tag)
 
@@ -106,7 +104,6 @@ def sinc_reconstruct(w: Waveform, t: float, taps: int) -> complex:
     tail of the sinc series it cuts off.  At a sample instant the value is
     exact regardless of taps.
     """
-    validate_waveform(w)
     if taps < 1:
         raise InvalidParameter(f"taps must be >= 1, got {taps}")
     if not math.isfinite(t):

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import InvalidParameter, _eval_map, _match, _require_positive
+from .core import InvalidParameter, _eval_map, _frozen, _match, _require_positive
 from .transforms import QuadratureSpec, _BLOCK_ENTRIES, _fft_raw
 
 
@@ -43,10 +43,8 @@ class SeriesCoefficients:
         if cos.size != sin.size:
             raise InvalidParameter("cosine and sine coefficient counts differ")
         _require_positive("period", self.period)
-        cos.setflags(write=False)
-        sin.setflags(write=False)
-        object.__setattr__(self, "cosine", cos)
-        object.__setattr__(self, "sine", sin)
+        object.__setattr__(self, "cosine", _frozen(cos))
+        object.__setattr__(self, "sine", _frozen(sin))
         object.__setattr__(self, "a0", float(self.a0))
         object.__setattr__(self, "period", float(self.period))
 

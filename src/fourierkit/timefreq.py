@@ -22,7 +22,6 @@ from .core import (
     Waveform,
     ZeroEnergy,
     _match,
-    validate_waveform,
 )
 from .transforms import _fft_raw, _ifft_raw, bin_frequencies
 
@@ -35,7 +34,6 @@ def analytic_signal(w: Waveform) -> Waveform:
     zeroed, then the inverse transform is applied.  The real part of the
     result reproduces the input.
     """
-    validate_waveform(w)
     if w.tag != REAL:
         raise RealTagViolation("analytic signal needs a real-tagged waveform")
     n = len(w)
@@ -88,7 +86,6 @@ def stft(w: Waveform, window_alpha: float, hop: int, frame: int) -> TFDistributi
         TFDistribution of kind "stft-complex": one row per frame position,
         row time at the frame center, columns in transform bin order.
     """
-    validate_waveform(w)
     if not 0.0 <= window_alpha < math.inf:
         raise InvalidParameter(f"window_alpha must be finite and >= 0, got {window_alpha!r}")
     if hop < 1:
@@ -128,7 +125,6 @@ def wvd(w: Waveform) -> TFDistribution:
     f0 peaks at the bin nearest 2 * f0 * T * M on a frequency axis of
     k / (2 * M * T), i.e. at f0 in axis units.
     """
-    validate_waveform(w)
     n = len(w)
     if n % 2 != 0:
         raise OddLength(f"need an even sample count, got {n}")
@@ -165,13 +161,12 @@ def uncertainty_product(w: Waveform) -> UncertaintyProduct:
     transform grid.  For a well-resolved Gaussian envelope on a carrier the
     product approaches 1/(4 pi), the smallest value any waveform attains.
     """
-    validate_waveform(w)
     psi = analytic_signal(w).samples if w.tag == REAL else w.samples
     energy = float(np.sum(np.abs(psi) ** 2))
     if energy == 0.0:
         raise ZeroEnergy("uncertainty product of an all-zero waveform")
 
-    ts = w.start_time + w.sample_interval * np.arange(psi.size)
+    ts = w.times
     pt = np.abs(psi) ** 2 / energy
     mean_t = float(np.dot(ts, pt))
     sigma_t = math.sqrt(float(np.dot((ts - mean_t) ** 2, pt)))

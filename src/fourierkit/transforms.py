@@ -42,7 +42,6 @@ from .core import (
     Waveform,
     _eval_map,
     _require_positive,
-    validate_waveform,
 )
 
 FORWARD = "forward"
@@ -68,8 +67,6 @@ def _dft_raw(x: np.ndarray, sign: float = -1.0) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
-    if n == 0:
-        return x.copy()
     out = np.empty(n, dtype=np.complex128)
     idx = np.arange(n, dtype=np.int64)
     roots = np.exp((sign * 2j * np.pi / n) * idx)
@@ -83,7 +80,6 @@ def _dft_raw(x: np.ndarray, sign: float = -1.0) -> np.ndarray:
 
 def dft(w: Waveform) -> Spectrum:
     """Forward discrete transform by direct summation, no scaling."""
-    validate_waveform(w)
     n = len(w)
     return Spectrum(_dft_raw(w.samples, -1.0), bin_spacing=1.0 / (n * w.sample_interval))
 
@@ -93,7 +89,7 @@ def idft(s: Spectrum) -> Waveform:
 
     The spectrum carries no time origin, so the waveform starts at t = 0.
     """
-    n = _require_bins(s)
+    n = len(s)
     samples = _dft_raw(s.bins, +1.0) / n
     return Waveform(samples, sample_interval=1.0 / (n * s.bin_spacing))
 
@@ -272,22 +268,14 @@ def _ifft_raw(x: np.ndarray) -> np.ndarray:
 
 def fft(w: Waveform) -> Spectrum:
     """Fast transform, same contract as ``dft``."""
-    validate_waveform(w)
     n = len(w)
     return Spectrum(_fft_raw(w.samples), bin_spacing=1.0 / (n * w.sample_interval))
 
 
 def ifft(s: Spectrum) -> Waveform:
     """Fast inverse, same contract as ``idft``."""
-    n = _require_bins(s)
+    n = len(s)
     return Waveform(_ifft_raw(s.bins), sample_interval=1.0 / (n * s.bin_spacing))
-
-
-def _require_bins(s: Spectrum) -> int:
-    if len(s) == 0:
-        raise EmptyBins("spectrum has no bins")
-    _require_positive("bin_spacing", s.bin_spacing)
-    return len(s)
 
 
 def dtft_eval(w: Waveform, f: float) -> complex:
@@ -296,7 +284,6 @@ def dtft_eval(w: Waveform, f: float) -> complex:
     This is the sample-sum transform of the sequence; it is periodic in f
     with period 1/T.  The waveform's start time does not enter.
     """
-    validate_waveform(w)
     if not math.isfinite(f):
         raise InvalidParameter(f"frequency must be finite, got {f!r}")
     n = np.arange(len(w))
@@ -325,7 +312,7 @@ def bin_frequencies(n: int, sample_rate: float) -> np.ndarray:
 
 def centered(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Reorder bins for display: (frequencies ascending, matching values)."""
-    n = _require_bins(s)
+    n = len(s)
     freqs = bin_frequencies(n, s.bin_spacing * n)
     order = np.argsort(freqs, kind="stable")
     return freqs[order], s.bins[order]

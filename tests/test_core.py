@@ -10,6 +10,7 @@ import pytest
 
 from fourierkit import (
     COMPLEX,
+    EmptyBins,
     EmptySamples,
     FourierKitError,
     GaborAtom,
@@ -43,7 +44,7 @@ def test_waveform_infers_complex_tag():
 def test_waveform_explicit_tag_is_kept():
     w = Waveform([1.0, 2.0], 0.5, tag=COMPLEX)
     assert w.tag == COMPLEX
-    validate_waveform(w)
+    assert validate_waveform(w) is w
 
 
 def test_waveform_times_and_duration():
@@ -60,14 +61,26 @@ def test_waveform_samples_are_immutable():
 
 
 def test_validate_waveform_rejects_bad_interval():
-    for bad in (0.0, -1.0, float("nan")):
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(NonPositiveInterval):
             validate_waveform(Waveform([1.0], bad))
+        with pytest.raises(NonPositiveInterval):
+            Waveform([1.0], bad)
 
 
 def test_validate_waveform_rejects_empty():
     with pytest.raises(EmptySamples):
         validate_waveform(Waveform([], 1.0))
+    with pytest.raises(EmptySamples):
+        Waveform([], 1.0)
+
+
+def test_spectrum_rejects_no_bins_and_bad_spacing():
+    with pytest.raises(EmptyBins):
+        Spectrum([], 1.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(NonPositiveInterval):
+            Spectrum([1.0, 2.0], bad)
 
 
 def test_validate_waveform_rejects_false_real_tag():
@@ -152,6 +165,10 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: sample(f, 1.0, 4, start_time=-math.inf),
         lambda: dtft_eval(Waveform(np.ones(8), 1.0), math.nan),
         lambda: dtft_eval(Waveform(np.ones(8), 1.0), math.inf),
+        lambda: Waveform([1.0], 1.0, tag="foo"),
+        lambda: Waveform([1.0, 2.0], 1.0, start_time=math.nan),
+        lambda: Waveform([1.0, 2.0], 1.0, start_time=math.inf),
+        lambda: Waveform([1.0, 2.0], 1.0, start_time=-math.inf),
         lambda: TFDistribution(np.zeros((1, 1)), [0.0], [0.0], kind="scalogram"),
         lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=0),
         lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=math.nan),
@@ -274,6 +291,19 @@ def test_tfdistribution_checks_shape_and_kind():
         TFDistribution(vals, [0.0], [0.0, 1.0, 2.0], kind="wvd-real")
     with pytest.raises(ValueError):
         TFDistribution(vals, [0.0, 1.0], [0.0, 1.0, 2.0], kind="scalogram")
+
+
+def test_constructors_freeze_a_view_not_the_callers_array():
+    from fourierkit import SeriesCoefficients
+    v = np.zeros((2, 3))
+    dist = TFDistribution(v, [0.0, 1.0], [0.0, 1.0, 2.0], kind="wvd-real")
+    cos = np.zeros(2)
+    coeffs = SeriesCoefficients(0.0, cos, np.zeros(2), period=1.0)
+    v[0, 0] = 1.0
+    cos[0] = 1.0
+    for frozen in (dist.values, dist.time_axis, coeffs.cosine, coeffs.sine):
+        with pytest.raises(ValueError):
+            frozen[0] = 2.0
 
 
 def test_load_config_defaults_to_empty(monkeypatch):

@@ -318,6 +318,12 @@ def test_bin_spacing_and_inverse_interval():
     back = idft(s)
     assert back.sample_interval == pytest.approx(0.01, rel=1e-15)
     assert back.start_time == 0.0
+    # a spacing or interval that overflows to inf or underflows to 0 is refused
+    for forward, inverse in ((dft, idft), (fft, ifft)):
+        with pytest.raises(NonPositiveInterval):
+            forward(Waveform([1.0, 2.0], 1e-320))
+        with pytest.raises(NonPositiveInterval):
+            inverse(Spectrum([1.0, 2.0], 1e308))
 
 
 def test_bin_to_frequency_even_and_odd():
