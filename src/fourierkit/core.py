@@ -108,6 +108,14 @@ def _match(x, out: np.ndarray, kind: type):
     return kind(out) if np.ndim(x) == 0 else out
 
 
+def _gaussian_width_ok(alpha: float) -> bool:
+    """Whether alpha > 0 with both alpha^2 and (pi/alpha)^2 finite, the rates
+    of a Gaussian envelope and of its spectrum."""
+    alpha = float(alpha)
+    widest = max(alpha, math.pi / alpha) if alpha > 0.0 else math.nan
+    return widest * widest < math.inf
+
+
 def _require_positive(name: str, value: float) -> None:
     """Raise NonPositiveInterval unless 0 < value < inf."""
     if not 0.0 < value < np.inf:
@@ -191,8 +199,9 @@ class Spectrum:
     the midpoint wrap to negative frequencies.  ``centered`` in transforms
     reorders for display only.
 
-    Built with at least one bin (else EmptyBins) and 0 < bin_spacing < inf
-    (else NonPositiveInterval); operations never re-check these.
+    Built with at least one bin (else EmptyBins), 0 < bin_spacing < inf and
+    a finite span len * bin_spacing (else NonPositiveInterval); operations
+    never re-check these.
     """
 
     bins: np.ndarray
@@ -204,6 +213,9 @@ class Spectrum:
             raise EmptyBins("spectrum has no bins")
         spacing = float(self.bin_spacing)
         _require_positive("bin_spacing", spacing)
+        if arr.size * spacing == math.inf:
+            raise NonPositiveInterval(
+                f"bin_spacing {spacing!r} over {arr.size} bins spans an infinite band")
         object.__setattr__(self, "bins", _frozen(arr))
         object.__setattr__(self, "bin_spacing", spacing)
 
@@ -288,7 +300,11 @@ def segmented_eval(s: SegmentedFunction, x: float) -> float:
 
 @dataclass(frozen=True)
 class GaborAtom:
-    """Gaussian-envelope tone: exp(-alpha^2 (t-t0)^2) * cis(2 pi f0 t + phase)."""
+    """Gaussian-envelope tone: exp(-alpha^2 (t-t0)^2) * cis(2 pi f0 t + phase).
+
+    Built only with alpha > 0 and both alpha^2 and (pi/alpha)^2 finite, the
+    rates of the envelope and of its spectrum (else InvalidParameter).
+    """
 
     t0: float
     f0: float
@@ -296,8 +312,9 @@ class GaborAtom:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < np.inf:
-            raise InvalidParameter(f"alpha must be finite and > 0, got {self.alpha!r}")
+        if not _gaussian_width_ok(self.alpha):
+            raise InvalidParameter(
+                f"alpha must be > 0 with alpha^2 and (pi/alpha)^2 finite, got {self.alpha!r}")
 
 
 @dataclass(frozen=True, eq=False)

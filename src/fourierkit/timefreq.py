@@ -21,6 +21,7 @@ from .core import (
     TFDistribution,
     Waveform,
     ZeroEnergy,
+    _gaussian_width_ok,
     _match,
 )
 from .transforms import _fft_raw, _ifft_raw, bin_frequencies
@@ -77,8 +78,10 @@ def stft(w: Waveform, window_alpha: float, hop: int, frame: int) -> TFDistributi
 
     Args:
         w: input waveform (real or complex).
-        window_alpha: Gaussian width parameter; 0 gives a flat (rectangular)
-            window, making the result a blockwise discrete transform.
+        window_alpha: Gaussian width parameter, with alpha^2 and
+            (pi/alpha)^2 finite as for a GaborAtom; 0 gives a flat
+            (rectangular) window, making the result a blockwise discrete
+            transform.
         hop: frame advance in samples.
         frame: frame length in samples; frames never cross the record edge.
 
@@ -86,8 +89,9 @@ def stft(w: Waveform, window_alpha: float, hop: int, frame: int) -> TFDistributi
         TFDistribution of kind "stft-complex": one row per frame position,
         row time at the frame center, columns in transform bin order.
     """
-    if not 0.0 <= window_alpha < math.inf:
-        raise InvalidParameter(f"window_alpha must be finite and >= 0, got {window_alpha!r}")
+    if not (window_alpha == 0.0 or _gaussian_width_ok(window_alpha)):
+        raise InvalidParameter(f"window_alpha must be 0, or > 0 with alpha^2 and (pi/alpha)^2 "
+                               f"finite, got {window_alpha!r}")
     if hop < 1:
         raise InvalidParameter(f"hop must be >= 1, got {hop}")
     if frame < 1:

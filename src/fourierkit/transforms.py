@@ -11,14 +11,14 @@ hands the core all of its frames in one call.  Forward transforms are
 unscaled, inverses carry 1/N.
 
 Continuous side: ``quad_ft`` integrates map(t) * exp(-+ i 2 pi f t) with an
-adaptive Simpson rule, with an optional exponential damping factor for
-slowly decaying tails, and ``half_transform`` does the cosine/sine integral
-over the half line with the kernel argument in radians per second.  The
-rule refines level by level over arrays of intervals (the global strategy
-of QUADPACK applied to adaptive Simpson), so the map and the kernel are
-evaluated on all new points of a level at once.  Which intervals pass
-depends only on their own samples, depth and tolerance; when the split
-budget runs out, a level spends what is left on its leftmost intervals.
+adaptive Gauss-Kronrod rule, with an optional exponential damping factor
+for slowly decaying tails, and ``half_transform`` does the cosine/sine
+integral over the half line with the kernel argument in radians per
+second.  The rule applies QUADPACK's 7/15-point pair to every interval of a
+level at once, so the map and the kernel are evaluated on the 15 nodes of
+all open intervals in one call.  Which intervals pass depends only on their
+own samples and tolerance; when the split budget runs out, a level spends
+what is left on its leftmost intervals.
 """
 
 from __future__ import annotations
@@ -284,8 +284,8 @@ def dtft_eval(w: Waveform, f: float) -> complex:
     This is the sample-sum transform of the sequence; it is periodic in f
     with period 1/T.  The waveform's start time does not enter.
     """
-    if not math.isfinite(f):
-        raise InvalidParameter(f"frequency must be finite, got {f!r}")
+    if not math.isfinite(2.0 * math.pi * f * w.sample_interval * (len(w) - 1)):
+        raise InvalidParameter(f"phase 2 pi f T n must be finite, got f = {f!r}")
     n = np.arange(len(w))
     return complex(np.dot(w.samples, np.exp(-2j * np.pi * f * w.sample_interval * n)))
 
@@ -326,9 +326,9 @@ def centered(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
 class QuadratureSpec:
     """Integration window and budget for the adaptive rule.
 
-    ``max_subdivisions`` caps the number of interval halvings; ``damping``
+    ``max_subdivisions`` caps the number of interval splits; ``damping``
     multiplies the integrand by exp(-damping * |t|) to tame slowly decaying
-    oscillatory tails.
+    oscillatory tails.  The window and its width must be finite.
     """
 
     lower: float
@@ -338,8 +338,9 @@ class QuadratureSpec:
     damping: float = 0.0
 
     def __post_init__(self):
-        if not -math.inf < self.lower < self.upper < math.inf:
-            raise NonPositiveInterval(f"need finite lower < upper: [{self.lower}, {self.upper}]")
+        if not (-math.inf < self.lower < self.upper and self.upper - self.lower < math.inf):
+            raise NonPositiveInterval(
+                f"need finite lower < upper, a finite width apart: [{self.lower}, {self.upper}]")
         if not isinstance(self.max_subdivisions, Integral) or self.max_subdivisions < 1:
             raise InvalidParameter(
                 f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
@@ -358,61 +359,60 @@ class QuadResult:
     converged: bool
 
 
-_MIN_DEPTH = 2   # forced halvings so an oscillatory integrand cannot pass on a coarse fluke
+# QUADPACK's qk15 on [-1, 1]: Kronrod nodes and weights from the outermost node
+# in to the centre, and the Gauss weights of every other node, the centre's too.
+_XK = np.array((0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+                0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0))
+_WK = np.array((0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+                0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+                0.20443294007529889, 0.20948214108472782))
+_WG = np.array((0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694))
+_NODES = np.r_[-_XK[:7], _XK[::-1]]  # ascending, the centre at index 7
+_KRONROD = np.r_[_WK, _WK[-2::-1]]
+# K15 - G7 weights, Gauss in the odd slots; taken of the samples minus the centre
+# one, they give 0 on a constant, where the Gauss weights (sum 2 - 2.2e-16) would not.
+_DIFF = _KRONROD.copy()
+_DIFF[1::2] -= np.r_[_WG, _WG[-2::-1]]
 _MAX_DEPTH = 60  # past this, interval widths reach the floating point floor
 
 
 def _integrate(g: Callable[[np.ndarray], np.ndarray], lower: float, upper: float,
                abs_tolerance: float, max_subdivisions: int, panels: int) -> QuadResult:
-    """Adaptive Simpson over an initial uniform panelization, refined level
-    by level; ``g`` maps an array of points to an array of values.
-
-    One call evaluates the panel edges and midpoints, then one call per
-    level the quarter-points of all its intervals.  An interval at depth
-    >= _MIN_DEPTH whose halves agree with it to 15 * tol is accepted with
-    its Richardson correction; the others are split, tol halving per level,
-    while ``max_subdivisions`` splits last.  A level that wants more splits
+    """Adaptive Gauss-Kronrod over an initial uniform panelization, refined
+    level by level in one call of ``g`` (array of points to array of values)
+    on the 15 nodes of every open interval, kept as centres and one shared
+    half-width.  An interval's value is K15; it passes when |K15 - G7| <= tol,
+    else it splits in two while ``max_subdivisions`` splits last, up to
+    _MAX_DEPTH levels, tol halving per level.  A level that wants more splits
     than are left spends them on its leftmost intervals and keeps the rest
     unconverged.
     """
-    edges = np.linspace(lower, upper, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    f = g(np.r_[edges, mids])
-    # rows: left edge, midpoint and right edge of each interval, left to right
-    x = np.stack((edges[:-1], mids, edges[1:]))
-    fx = np.stack((f[:panels], f[panels + 1:], f[1:panels + 1]))
-    whole = ((x[2] - x[0]) / 6.0) * (fx[0] + 4.0 * fx[1] + fx[2])
-    tol, budget, depth, converged = abs_tolerance / panels, max_subdivisions, 0, True
+    half = 0.5 * (upper - lower) / panels
+    centres = lower + half * np.arange(1, 2 * panels, 2)
+    tol, budget, converged = abs_tolerance / panels, max_subdivisions, True
     values, errors = [], []
-    while x.shape[1]:
-        # row 0 of these pairs is the left half of each interval, row 1 the right
-        mid = 0.5 * (x[:2] + x[1:])
-        fmid = g(mid.ravel()).reshape(mid.shape)
-        halves = ((x[1:] - x[:2]) / 6.0) * (fx[:2] + 4.0 * fmid + fx[1:])
-        refined = halves[0] + halves[1]
-        err = np.abs(refined - whole)
-        passed = err <= 15.0 * tol if depth >= _MIN_DEPTH else np.zeros(err.shape, dtype=bool)
-        values.append(refined[passed] + (refined[passed] - whole[passed]) / 15.0)
-        errors.append(err[passed] / 15.0)
-        failed = np.flatnonzero(~passed)
-        splits = 0 if depth >= _MAX_DEPTH else min(failed.size, budget)
-        split, kept = failed[:splits], failed[splits:]
-        values.append(refined[kept])
-        errors.append(err[kept])
-        converged = converged and kept.size == 0
-        budget -= splits
-        # the two halves of each split interval become the next level, in order
-        x, fx = (np.stack((v[:2], vmid, v[1:]))[:, :, split].transpose(0, 2, 1).reshape(3, -1)
-                 for v, vmid in ((x, mid), (fx, fmid)))
-        whole = halves[:, split].T.ravel()
-        tol, depth = tol / 2.0, depth + 1
+    for depth in range(_MAX_DEPTH + 1):
+        f = g((centres[:, None] + half * _NODES).ravel()).reshape(-1, 15)
+        value = half * (f @ _KRONROD)
+        err = np.abs(half * ((f - f[:, 7:8]) @ _DIFF))
+        failed = np.flatnonzero(err > tol)
+        split = failed[:budget if depth < _MAX_DEPTH else 0]
+        values.append(np.delete(value, split))
+        errors.append(np.delete(err, split))
+        converged = converged and split.size == failed.size
+        budget -= split.size
+        if not split.size:
+            break
+        half, tol = 0.5 * half, 0.5 * tol
+        # the two halves of each split interval, in place, left to right
+        centres = (centres[split, None] + [-half, half]).ravel()
     return QuadResult(complex(np.sum(np.concatenate(values))),
                       float(np.sum(np.concatenate(errors))), converged)
 
 
 def _initial_panels(cycles: float) -> int:
-    """At least 16 panels, or 8 per oscillation cycle, capped at 4096."""
-    return int(min(4096, max(16, math.ceil(8.0 * cycles))))
+    """At least 4 panels, or 1 per oscillation cycle, capped at 4096."""
+    return max(4, math.ceil(min(cycles, 4096.0)))
 
 
 def quad_ft(map: Callable[[float], complex], f: float, spec: QuadratureSpec,
@@ -422,12 +422,13 @@ def quad_ft(map: Callable[[float], complex], f: float, spec: QuadratureSpec,
     direction "forward" uses exp(-i 2 pi f t), "inverse" exp(+i 2 pi f t).
     The damping factor exp(-damping |t|) from ``spec`` multiplies the
     integrand.  On budget exhaustion the best estimate is returned with
-    ``converged = False`` rather than raising.
+    ``converged = False`` rather than raising.  The phase 2 pi f t must be
+    finite over the window (else InvalidParameter).
     """
     if direction not in (FORWARD, INVERSE):
         raise InvalidParameter(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    if not math.isfinite(f):
-        raise InvalidParameter(f"frequency must be finite, got {f!r}")
+    if not math.isfinite(2.0 * math.pi * f * max(abs(spec.lower), abs(spec.upper))):
+        raise InvalidParameter(f"phase 2 pi f t must be finite on the window, got f = {f!r}")
     sign = -2j * np.pi * f if direction == FORWARD else 2j * np.pi * f
 
     def g(t: np.ndarray) -> np.ndarray:
@@ -442,13 +443,14 @@ def half_transform(map: Callable[[float], float], q: float, kind: str,
                    spec: QuadratureSpec) -> float:
     """Half-line integral of map(x) cos(q x) or map(x) sin(q x), x >= 0.
 
-    ``q`` is in radians per second.  Integration runs from max(spec.lower, 0)
-    to spec.upper; raises ToleranceNotReached if the budget runs out.
+    ``q`` is in radians per second, and q * spec.upper must be finite (else
+    InvalidParameter).  Integration runs from max(spec.lower, 0) to
+    spec.upper; raises ToleranceNotReached if the budget runs out.
     """
     if kind not in (COSINE, SINE):
         raise InvalidParameter(f"kind must be 'cosine' or 'sine', got {kind!r}")
-    if not math.isfinite(q):
-        raise InvalidParameter(f"q must be finite, got {q!r}")
+    if not math.isfinite(q * spec.upper):
+        raise InvalidParameter(f"phase q x must be finite on the window, got q = {q!r}")
     kernel = np.cos if kind == COSINE else np.sin
     lower = max(0.0, spec.lower)
     if not lower < spec.upper:

@@ -519,6 +519,17 @@ def test_non_positive_count_or_rate_exits_two(capsys, argv):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["atoms", "--t0", "0", "--f0", "1", "--alpha", "1e200"],
+    ["sample", "--gen", "gabor", "--t0", "0", "--f0", "1", "--alpha", "1e-200"],
+    ["stft", "--gen", "dc", "--hop", "4", "--frame", "8", "--window-alpha", "1e200"],
+])
+def test_gaussian_width_whose_square_overflows_exits_one(capsys, argv):
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("fourierkit: error: ") and "alpha^2" in err
+
+
 def test_module_entry_point_is_deterministic(tmp_path):
     argv = [sys.executable, "-m", "fourierkit", "sample", "--gen", "square",
             "--f", "3", "--fs", "24", "--n", "48"]

@@ -153,6 +153,8 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: sinc_reconstruct(Waveform(np.ones(4), 1.0), math.inf, 2),
         lambda: stft(Waveform(np.ones(8), 1.0), math.nan, 1, 4),
         lambda: stft(Waveform(np.ones(8), 1.0), math.inf, 1, 4),
+        lambda: stft(Waveform(np.ones(8), 1.0), 1e200, 1, 4),
+        lambda: stft(Waveform(np.ones(8), 1.0), 1e-200, 1, 4),
         lambda: dirichlet_sum(-1, 0.3),
         lambda: dirichlet_closed(-1, 0.3),
         lambda: make_comb(1.0, 0),
@@ -161,10 +163,13 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: SegmentedFunction(((0.0, 2.0, f), (1.0, 3.0, f))),
         lambda: GaborAtom(0.0, 1.0, 0.0),
         lambda: GaborAtom(0.0, 1.0, math.inf),
+        lambda: GaborAtom(0.0, 1.0, 1e200),
+        lambda: GaborAtom(0.0, 1.0, 1e-200),
         lambda: sample(f, 1.0, 4, start_time=math.nan),
         lambda: sample(f, 1.0, 4, start_time=-math.inf),
         lambda: dtft_eval(Waveform(np.ones(8), 1.0), math.nan),
         lambda: dtft_eval(Waveform(np.ones(8), 1.0), math.inf),
+        lambda: dtft_eval(Waveform([1.0, 2.0], 1.0), 1e308),
         lambda: Waveform([1.0], 1.0, tag="foo"),
         lambda: Waveform([1.0, 2.0], 1.0, start_time=math.nan),
         lambda: Waveform([1.0, 2.0], 1.0, start_time=math.inf),
@@ -181,9 +186,11 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: quad_ft(f, 1.0, window, direction="sideways"),
         lambda: quad_ft(f, math.nan, window),
         lambda: quad_ft(f, math.inf, window),
+        lambda: quad_ft(f, 1e300, QuadratureSpec(0.0, 1e10)),
         lambda: half_transform(f, 1.0, "both", window),
         lambda: half_transform(f, math.nan, "cosine", window),
         lambda: half_transform(f, -math.inf, "sine", window),
+        lambda: half_transform(f, 1e308, "cosine", QuadratureSpec(0.0, 1e10)),
     ]
     for call in calls:
         with pytest.raises(InvalidParameter) as info:
@@ -193,7 +200,8 @@ def test_bad_arguments_raise_invalid_parameter():
 
 
 @pytest.mark.parametrize("lower, upper", [(-math.inf, 1.0), (0.0, math.inf),
-                                          (-math.inf, math.inf), (math.nan, 1.0)])
+                                          (-math.inf, math.inf), (math.nan, 1.0),
+                                          (-1e308, 1e308)])
 def test_quadrature_window_must_be_finite(lower, upper):
     from fourierkit import QuadratureSpec
     with pytest.raises(NonPositiveInterval):
@@ -206,6 +214,7 @@ def test_quadrature_window_must_be_finite(lower, upper):
     ("series_coefficients", (math.cos, math.inf, 2)),
     ("half_series_coefficients", (math.cos, math.inf, "cosine", 2)),
     ("alias_frequency", (1.0, math.inf)),
+    ("Spectrum", ([1.0, 2.0], 1e308)),
 ])
 def test_intervals_must_be_finite(name, args):
     import fourierkit
@@ -236,6 +245,9 @@ def test_spectrum_basics():
     assert s.bins.dtype == np.complex128
     with pytest.raises(ValueError):
         s.bins[0] = 0.0
+    # a spacing whose span over the bins overflows is refused, by its own name
+    with pytest.raises(NonPositiveInterval, match="bin_spacing"):
+        Spectrum([1.0, 2.0], 1e308)
 
 
 def test_impulse_train_sorts_and_checks_duplicates():
