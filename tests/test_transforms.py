@@ -537,8 +537,77 @@ def test_half_transform_rejects_empty_window():
 
 
 # ---------------------------------------------------------------------------
-# the level-wise Gauss-Kronrod rule: oracles, evaluation counts, contracts
+# the level-wise Gauss-Kronrod rule: the depth-first Simpson rule it
+# replaced, oracles, evaluation counts, contracts
 # ---------------------------------------------------------------------------
+
+def _depth_first(g, lower, upper, abs_tolerance, max_subdivisions, cycles):
+    """An independent reference: adaptive Simpson with a Richardson
+    correction and two forced halvings, by depth-first recursion over 8
+    panels per oscillation cycle (at least 16), spending the split budget as
+    it goes; g maps one point to one value."""
+    budget = {"left": max_subdivisions, "ok": True}
+
+    def simpson(fa, fm, fb, h):
+        return (h / 6.0) * (fa + 4.0 * fm + fb)
+
+    def adapt(a, m, b, fa, fm, fb, whole, tol, depth):
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm = g(lm)
+        frm = g(rm)
+        left = simpson(fa, flm, fm, m - a)
+        right = simpson(fm, frm, fb, b - m)
+        refined = left + right
+        err = abs(refined - whole)
+        if depth >= 2 and err <= 15.0 * tol:
+            return refined + (refined - whole) / 15.0, err / 15.0
+        if budget["left"] <= 0 or depth >= 60:
+            budget["ok"] = False
+            return refined, err
+        budget["left"] -= 1
+        v1, e1 = adapt(a, lm, m, fa, flm, fm, left, tol / 2.0, depth + 1)
+        v2, e2 = adapt(m, rm, b, fm, frm, fb, right, tol / 2.0, depth + 1)
+        return v1 + v2, e1 + e2
+
+    panels = int(min(4096, max(16, math.ceil(8.0 * cycles))))
+    edges = np.linspace(lower, upper, panels + 1)
+    tol = abs_tolerance / panels
+    total, err = 0.0 + 0.0j, 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = 0.5 * (a + b)
+        fa, fm, fb = g(a), g(m), g(b)
+        v, e = adapt(a, m, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, 0)
+        total += v
+        err += e
+    return total, err, budget["ok"]
+
+
+def _depth_first_quad_ft(map, f, spec, direction):
+    sign = -2j * np.pi * f if direction == "forward" else 2j * np.pi * f
+    d = spec.damping
+
+    def g(t):
+        return complex(map(t)) * np.exp(sign * t - d * abs(t))
+
+    return _depth_first(g, spec.lower, spec.upper, spec.abs_tolerance, spec.max_subdivisions,
+                        abs(f) * (spec.upper - spec.lower))
+
+
+def _depth_first_half_transform(map, q, kind, spec):
+    kernel = math.cos if kind == "cosine" else math.sin
+    d = spec.damping
+    lower = max(0.0, spec.lower)
+
+    def g(x):
+        val = float(map(x)) * kernel(q * x)
+        if d:
+            val *= math.exp(-d * x)
+        return val
+
+    return _depth_first(g, lower, spec.upper, spec.abs_tolerance, spec.max_subdivisions,
+                        abs(q) / (2.0 * math.pi) * (spec.upper - lower))
+
 
 class _Counted:
     """A map that counts the points it is evaluated at.  A scalar map
@@ -617,10 +686,39 @@ def _quad_oracle(fn, f, spec, direction):
 
 
 @pytest.mark.parametrize("fn, vectorized, f, spec, direction", _QUAD_CASES)
+def test_quad_ft_matches_depth_first_rule(fn, vectorized, f, spec, direction):
+    # two different rules, each within the tolerance of the integral, and
+    # the Gauss-Kronrod one on no more points
+    ref_map, new_map = _Counted(fn, vectorized), _Counted(fn, vectorized)
+    v, _, ok = _depth_first_quad_ft(ref_map, f, spec, direction)
+    got = quad_ft(new_map, f, spec, direction)
+    assert ok and got.converged
+    assert abs(got.value - v) <= spec.abs_tolerance
+    assert new_map.points <= ref_map.points
+
+
+@pytest.mark.parametrize("fn, vectorized, f, spec, direction", _QUAD_CASES)
 def test_quad_ft_cases_meet_their_tolerance(fn, vectorized, f, spec, direction):
     got = quad_ft(_Counted(fn, vectorized), f, spec, direction)
     assert got.converged
     assert abs(got.value - _quad_oracle(fn, f, spec, direction)) <= spec.abs_tolerance
+
+
+@pytest.mark.parametrize("kind", ["cosine", "sine"])
+@pytest.mark.parametrize("fn, vectorized, spec", [
+    (lambda x: math.exp(-x), False, QuadratureSpec(0.0, 40.0)),
+    (lambda x: np.exp(-x), True, QuadratureSpec(0.0, 40.0, abs_tolerance=1e-10)),
+    (lambda x: 1.0, False, QuadratureSpec(-5.0, 1.0)),
+    (lambda x: 1.0 / (1.0 + x * x), True, QuadratureSpec(0.0, 30.0, damping=0.3)),
+])
+def test_half_transform_matches_depth_first_rule(kind, fn, vectorized, spec):
+    for q in (0.0, 0.1, 1.0, 3.7, 7.9):
+        ref_map, new_map = _Counted(fn, vectorized), _Counted(fn, vectorized)
+        v, _, ok = _depth_first_half_transform(ref_map, q, kind, spec)
+        assert ok
+        got = half_transform(new_map, q, kind, spec)
+        assert abs(got - v.real) <= spec.abs_tolerance
+        assert new_map.points <= ref_map.points
 
 
 @pytest.mark.parametrize("kind", ["cosine", "sine"])
@@ -655,7 +753,7 @@ def test_gaussian_transforms_stay_under_an_evaluation_ceiling():
     assert gaussian.points <= 6000
 
 
-def test_split_budget_is_spent_on_the_leftmost_intervals_in_order():
+def test_split_budget_is_spent_left_to_right_per_level():
     # 2 panels and 3 splits at a tolerance nothing meets: level 0 splits both
     # panels, level 1 lists the four quarters left to right and splits only
     # [0, 2], and level 2 evaluates its halves and keeps them unconverged
