@@ -1,10 +1,11 @@
 """Command line front end.
 
-Reads waveforms from CSV/WAV files or built-in generators, dispatches to the
-library, and writes plain CSV tables (UTF-8, LF, 17 significant digits) that
-plot directly, to stdout or to an ``-o`` file that is replaced only by a
-complete table.  Exit status: 0 on success, 1 on runtime errors, 2 on bad
-flags.
+Each command turns its parsed flags into one table, a header and its
+columns: it reads waveforms from CSV/WAV files or built-in generators,
+dispatches to the library and writes nothing.  ``main`` writes the table as
+plain CSV (UTF-8, LF, 17 significant digits) that plots directly, to stdout
+or to an ``-o`` file that is replaced only by a complete table.  Exit
+status: 0 on success, 1 on runtime errors, 2 on bad flags.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def _input_waveform(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_transform(parser, args, settings) -> int:
+def _cmd_transform(parser, args, settings) -> tuple:
     method = args.method or settings.get("fft_strategy") or "fft"
     if method not in ("dft", "fft"):
         parser.error(f"--method must be dft or fft, got {method!r}")
@@ -253,9 +254,8 @@ def _cmd_transform(parser, args, settings) -> int:
         if not args.input:
             parser.error("--inverse needs a spectrum CSV input")
         spec = _read_spectrum_csv(args.input, args.fs)
-        w = transforms.idft(spec) if method == "dft" else transforms.ifft(spec)
-        _write_waveform(args.output, w)
-        return 0
+        return _waveform_table(transforms.idft(spec) if method == "dft"
+                               else transforms.ifft(spec))
     w = _input_waveform(parser, args)
     s = transforms.dft(w) if method == "dft" else transforms.fft(w)
     n = len(s)
@@ -263,15 +263,14 @@ def _cmd_transform(parser, args, settings) -> int:
     # np.hypot matches the scalar abs() bit for bit; np.abs and np.arctan2 take
     # SIMD paths that can differ in the last bit, so the phase uses math.atan2.
     phase = np.fromiter(map(math.atan2, im.tolist(), re.tolist()), float, n)
-    _write_table(args.output, ["bin", "freq_hz", "re", "im", "mag", "phase"],
-                 np.arange(n), transforms.bin_frequencies(n, s.bin_spacing * n),
-                 re, im, np.hypot(re, im), phase)
-    return 0
+    return (["bin", "freq_hz", "re", "im", "mag", "phase"],
+            np.arange(n), transforms.bin_frequencies(n, s.bin_spacing * n),
+            re, im, np.hypot(re, im), phase)
 
 
-def _write_waveform(path: str | None, w: Waveform) -> None:
-    _write_table(path, ["index", "time_s", "re", "im"],
-                 np.arange(len(w)), w.times, w.samples.real, w.samples.imag)
+def _waveform_table(w: Waveform) -> tuple:
+    return (["index", "time_s", "re", "im"],
+            np.arange(len(w)), w.times, w.samples.real, w.samples.imag)
 
 
 def _series_map(parser, args) -> Callable[[float], float]:
@@ -285,17 +284,11 @@ def _series_map(parser, args) -> Callable[[float], float]:
     parser.error(f"series supports --gen square|sine|dc, got {args.gen!r}")
 
 
-def _cmd_series(parser, args, settings) -> int:
+def _cmd_series(parser, args, settings) -> tuple:
     tol = args.tolerance or float(settings.get("quad_tolerance", config.QUADRATURE_TOLERANCE))
     qspec = transforms.QuadratureSpec(0.0, args.period, abs_tolerance=tol)
     coeffs = series.series_coefficients(_series_map(parser, args), args.period,
                                         args.k, qspec)
-    if args.synthesize:
-        ts = np.linspace(0.0, args.period, args.synthesize, endpoint=False)
-        _write_table(args.output, ["t", "value"], ts, series.series_synthesize(coeffs, ts))
-    else:
-        _write_table(args.output, ["n", "a", "b"], np.arange(coeffs.harmonics + 1),
-                     np.r_[coeffs.a0, coeffs.cosine], np.r_[0.0, coeffs.sine])
     missed = [i for i, ok in enumerate(coeffs.converged) if not ok]
     if missed:
         k = coeffs.harmonics
@@ -303,21 +296,23 @@ def _cmd_series(parser, args, settings) -> int:
         more = ", ..." if len(missed) > 5 else ""
         print(f"fourierkit: warning: {len(missed)} of {2 * k + 1} coefficients missed "
               f"tolerance {tol:g} ({names}{more})", file=sys.stderr)
-    return 0
+    if args.synthesize:
+        ts = np.linspace(0.0, args.period, args.synthesize, endpoint=False)
+        return ["t", "value"], ts, series.series_synthesize(coeffs, ts)
+    return (["n", "a", "b"], np.arange(coeffs.harmonics + 1),
+            np.r_[coeffs.a0, coeffs.cosine], np.r_[0.0, coeffs.sine])
 
 
-def _cmd_sample(parser, args, settings) -> int:
-    _write_waveform(args.output, _generated_waveform(parser, args))
-    return 0
+def _cmd_sample(parser, args, settings) -> tuple:
+    return _waveform_table(_generated_waveform(parser, args))
 
 
-def _cmd_reconstruct(parser, args, settings) -> int:
+def _cmd_reconstruct(parser, args, settings) -> tuple:
     w = _input_waveform(parser, args)
     span = w.sample_interval * (len(w) - 1)
     ts = w.start_time + np.linspace(0.0, span, args.grid)
     vals = np.array([sampling.sinc_reconstruct(w, t, args.taps) for t in ts.tolist()])
-    _write_table(args.output, ["t", "re", "im"], ts, vals.real, vals.imag)
-    return 0
+    return ["t", "re", "im"], ts, vals.real, vals.imag
 
 
 def _grid_axes(dist: timefreq.TFDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -326,22 +321,20 @@ def _grid_axes(dist: timefreq.TFDistribution) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(dist.time_axis, nf), np.tile(dist.freq_axis, nt)
 
 
-def _cmd_stft(parser, args, settings) -> int:
+def _cmd_stft(parser, args, settings) -> tuple:
     w = _input_waveform(parser, args)
     dist = timefreq.stft(w, args.window_alpha, args.hop, args.frame)
-    _write_table(args.output, ["t", "f", "re", "im"], *_grid_axes(dist),
-                 dist.values.real, dist.values.imag)
-    return 0
+    return (["t", "f", "re", "im"], *_grid_axes(dist),
+            dist.values.real, dist.values.imag)
 
 
-def _cmd_wvd(parser, args, settings) -> int:
+def _cmd_wvd(parser, args, settings) -> tuple:
     w = _input_waveform(parser, args)
     dist = timefreq.wvd(w)
-    _write_table(args.output, ["t", "f", "value"], *_grid_axes(dist), dist.values)
-    return 0
+    return ["t", "f", "value"], *_grid_axes(dist), dist.values
 
 
-def _cmd_atoms(parser, args, settings) -> int:
+def _cmd_atoms(parser, args, settings) -> tuple:
     atom = GaborAtom(args.t0, args.f0, args.alpha, args.phase or 0.0)
     if args.domain == "time":
         span = 5.0 / atom.alpha
@@ -352,8 +345,7 @@ def _cmd_atoms(parser, args, settings) -> int:
         xs = np.linspace(atom.f0 - span, atom.f0 + span, args.points)
         value, axis = timefreq.gabor_atom_spectrum, "f"
     vals = np.array([value(atom, x) for x in xs.tolist()])
-    _write_table(args.output, [axis, "re", "im"], xs, vals.real, vals.imag)
-    return 0
+    return [axis, "re", "im"], xs, vals.real, vals.imag
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +448,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = config.load_config()
-        return args.run(parser, args, settings)
+        _write_table(args.output, *args.run(parser, args, settings))
+        return 0
     except BrokenPipeError:
         return 1
     except (FourierKitError, OSError, ValueError) as exc:

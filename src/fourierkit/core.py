@@ -116,10 +116,13 @@ def _gaussian_width_ok(alpha: float) -> bool:
     return widest * widest < math.inf
 
 
-def _require_positive(name: str, value: float) -> None:
-    """Raise NonPositiveInterval unless 0 < value < inf."""
+def _require_positive(name: str, value: float, count: int = 1) -> None:
+    """Raise NonPositiveInterval unless 0 < value < inf and the span
+    ``count * value`` of that spacing over ``count`` points is finite."""
     if not 0.0 < value < np.inf:
         raise NonPositiveInterval(f"{name} must be finite and > 0, got {value!r}")
+    if float(count) * float(value) == math.inf:
+        raise NonPositiveInterval(f"{name} {value!r} over {count} points spans an infinite range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +135,9 @@ class Waveform:
     a nonzero imaginary part raises RealTagViolation here, once.
 
     The other invariants are checked here too, and operations never
-    re-check them: NonPositiveInterval unless 0 < sample_interval < inf,
-    EmptySamples for no samples, InvalidParameter for an unknown tag or a
-    non-finite start_time.
+    re-check them: NonPositiveInterval unless 0 < sample_interval < inf with
+    a finite span len * sample_interval, EmptySamples for no samples,
+    InvalidParameter for an unknown tag or a non-finite start_time.
 
     A real-tagged waveform owns its samples: a complex128 array passed in is
     copied, so later writes to it cannot break the tag.  Other samples are
@@ -155,7 +158,7 @@ class Waveform:
         elif self.tag == REAL and not real:
             raise RealTagViolation("waveform tagged real has nonzero imaginary parts")
         interval, start = float(self.sample_interval), float(self.start_time)
-        _require_positive("sample_interval", interval)
+        _require_positive("sample_interval", interval, given.size)
         if given.size == 0:
             raise EmptySamples("waveform has no samples")
         if self.tag not in (REAL, COMPLEX):
@@ -212,10 +215,7 @@ class Spectrum:
         if arr.size == 0:
             raise EmptyBins("spectrum has no bins")
         spacing = float(self.bin_spacing)
-        _require_positive("bin_spacing", spacing)
-        if arr.size * spacing == math.inf:
-            raise NonPositiveInterval(
-                f"bin_spacing {spacing!r} over {arr.size} bins spans an infinite band")
+        _require_positive("bin_spacing", spacing, arr.size)
         object.__setattr__(self, "bins", _frozen(arr))
         object.__setattr__(self, "bin_spacing", spacing)
 

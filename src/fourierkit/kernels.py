@@ -22,8 +22,6 @@ def dirichlet_sum(i: int, theta) -> float:
     if i < 0:
         raise InvalidParameter(f"order must be >= 0, got {i}")
     th = np.asarray(theta, dtype=float)
-    if i == 0:
-        return _match(theta, np.full(th.shape, 0.5), float)
     m = np.arange(1, i + 1)
     out = 0.5 + np.cos(np.multiply.outer(th, m)).sum(axis=-1)
     return _match(theta, out, float)

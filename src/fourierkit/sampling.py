@@ -39,9 +39,11 @@ def sample(map: Callable[[float], complex], sample_interval: float, count: int,
     """Evaluate a map at t0 + n*T for n = 0..count-1.
 
     The result is tagged real exactly when every imaginary part is zero.
-    Raises NonFiniteSample if the map produces NaN or infinity.
+    Raises NonPositiveInterval, before the map is called, unless
+    0 < sample_interval < inf with a finite span count * sample_interval, and
+    NonFiniteSample if the map produces NaN or infinity.
     """
-    _require_positive("sample_interval", sample_interval)
+    _require_positive("sample_interval", sample_interval, count)
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
     if not math.isfinite(start_time):

@@ -69,7 +69,7 @@ class ComplexSeriesCoefficients:
         return max((abs(m) for m in self.terms), default=0)
 
 
-def _refine(map: Callable[[float], float], span: float, k: int, per_harmonic: int,
+def _refine(map: Callable[[float], float], span: float, k: int,
             spec: QuadratureSpec | None, periodic: bool,
             read: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, tuple[bool, ...]]:
     """Richardson-refined coefficients ``read(c)`` of ``map`` on [0, span],
@@ -79,14 +79,15 @@ def _refine(map: Callable[[float], float], span: float, k: int, per_harmonic: in
     for m = 0..k, L = span when ``periodic`` and 2 * span otherwise, with
     c[0] halved to the mean.  On P Simpson panels these are one DFT of the
     weighted samples: length 2P with the node at ``span`` folded onto node 0
-    when periodic, zero-padded to 4P otherwise.  P starts at
-    ``per_harmonic`` panels per harmonic (at least 64) rounded up to a power
-    of two, so the transform takes the power-of-two (radix-16) core,
-    capped at the budget.  Each doubling keeps the samples taken so far and
-    evaluates only the new midpoints.
+    when periodic, zero-padded to 4P otherwise.  P starts at 64 panels per
+    harmonic over the period L (so 32 over [0, span] when L = 2 * span), at
+    least 64, rounded up to a power of two, so the transform takes the
+    power-of-two (radix-16) core, capped at the budget.  Each doubling keeps
+    the samples taken so far and evaluates only the new midpoints.
     """
     spec = spec or QuadratureSpec(0.0, 1.0)
     tol, max_panels = spec.abs_tolerance, spec.max_subdivisions
+    per_harmonic = 64 if periodic else 32
     panels = min(1 << (max(64, per_harmonic * k) - 1).bit_length(), max_panels)
     samples = _eval_map(map, np.linspace(0.0, span, 2 * panels + 1), float)
     coarse = None
@@ -127,7 +128,7 @@ def series_coefficients(map: Callable[[float], float], period: float, k: int,
     _require_positive("period", period)
     if k < 0:
         raise InvalidParameter(f"harmonic count must be >= 0, got {k}")
-    v, flags = _refine(map, period, k, 64, spec, True, lambda c: np.r_[c.real, -c.imag[1:]])
+    v, flags = _refine(map, period, k, spec, True, lambda c: np.r_[c.real, -c.imag[1:]])
     return SeriesCoefficients(v[0], v[1:k + 1], v[k + 1:], period, flags)
 
 
@@ -146,9 +147,9 @@ def half_series_coefficients(map: Callable[[float], float], extent: float, kind:
     if k < 0:
         raise InvalidParameter(f"harmonic count must be >= 0, got {k}")
     if kind == "cosine":
-        v, flags = _refine(map, extent, k, 32, spec, False, lambda c: c.real)
+        v, flags = _refine(map, extent, k, spec, False, lambda c: c.real)
         return SeriesCoefficients(v[0], v[1:], np.zeros(k), 2.0 * extent, flags)
-    v, flags = _refine(map, extent, k, 32, spec, False, lambda c: np.r_[0.0, -c.imag[1:]])
+    v, flags = _refine(map, extent, k, spec, False, lambda c: np.r_[0.0, -c.imag[1:]])
     return SeriesCoefficients(0.0, np.zeros(k), v[1:], 2.0 * extent, flags)
 
 

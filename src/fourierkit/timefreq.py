@@ -42,11 +42,9 @@ def analytic_signal(w: Waveform) -> Waveform:
         raise InvalidParameter(f"need at least 2 samples, got {n}")
     gains = np.zeros(n)
     gains[0] = 1.0
+    gains[1:(n + 1) // 2] = 2.0
     if n % 2 == 0:
         gains[n // 2] = 1.0
-        gains[1:n // 2] = 2.0
-    else:
-        gains[1:(n + 1) // 2] = 2.0
     bins = _fft_raw(w.samples) * gains
     return Waveform(_ifft_raw(bins), w.sample_interval, w.start_time)
 

@@ -178,6 +178,32 @@ def test_output_to_a_read_only_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["transform", "bad.csv", "--fs", "8"], 1),
+    (["series", "--gen", "chirp", "--period", "1", "--k", "3"], 2),
+    (["sample", "--gen", "sine", "--n", "8"], 2),
+    (["reconstruct", "bad.csv", "--fs", "8"], 1),
+    (["stft", "--gen", "dc", "--n", "8", "--frame", "16", "--hop", "1"], 1),
+    (["wvd", "--gen", "dc", "--n", "7"], 1),
+    (["atoms", "--t0", "0", "--f0", "1", "--alpha", "1e200"], 1),
+], ids=["transform", "series", "sample", "reconstruct", "stft", "wvd", "atoms"])
+def test_failed_run_leaves_the_output_untouched(tmp_path, monkeypatch, capsys, argv, want):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("re\n1\nx\n", encoding="utf-8")
+    target = tmp_path / "out.csv"
+    target.write_text("keep\n", encoding="utf-8")
+    # main returns or exits through argparse; any other exception would
+    # reach the user as a traceback, and fails the test here
+    try:
+        code = main(argv + ["-o", "out.csv"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == want
+    assert "error: " in capsys.readouterr().err
+    assert target.read_text(encoding="utf-8") == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "out.csv"]
+
+
 def test_output_file_uses_lf_and_full_precision(tmp_path, capsys):
     out_csv = tmp_path / "spec.csv"
     assert main(["transform", "--gen", "sine", "--f", "1.1", "--fs", "9.7",

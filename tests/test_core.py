@@ -66,6 +66,9 @@ def test_validate_waveform_rejects_bad_interval():
             validate_waveform(Waveform([1.0], bad))
         with pytest.raises(NonPositiveInterval):
             Waveform([1.0], bad)
+    # an interval whose span over the samples overflows is refused, by its own name
+    with pytest.raises(NonPositiveInterval, match="sample_interval"):
+        Waveform([1.0, 2.0], 1e308)
 
 
 def test_validate_waveform_rejects_empty():
@@ -208,6 +211,10 @@ def test_quadrature_window_must_be_finite(lower, upper):
         QuadratureSpec(lower, upper)
 
 
+def _map_never_called(t):
+    raise AssertionError("the map was called")
+
+
 @pytest.mark.parametrize("name, args", [
     ("sample", (math.cos, math.inf, 4)),
     ("sample_spectrum", (math.cos, math.inf, 4)),
@@ -215,6 +222,8 @@ def test_quadrature_window_must_be_finite(lower, upper):
     ("half_series_coefficients", (math.cos, math.inf, "cosine", 2)),
     ("alias_frequency", (1.0, math.inf)),
     ("Spectrum", ([1.0, 2.0], 1e308)),
+    ("Waveform", ([1.0, 2.0], 1e308)),
+    ("sample", (_map_never_called, 1e308, 4)),  # finite interval, overflowing span
 ])
 def test_intervals_must_be_finite(name, args):
     import fourierkit
@@ -237,6 +246,17 @@ def test_source_never_delegates_the_transforms():
             for name in names:
                 assert not re.match(r"(np|numpy)\.fft\b|scipy\b", name), \
                     f"{path.name}:{node.lineno} uses {name}"
+
+
+def test_cli_writes_tables_from_main_only():
+    # commands return their table; main is the one place that writes it
+    path = Path(__file__).parents[1] / "src" / "fourierkit" / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    callers = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "_write_table"]
+    assert callers == ["main"]
 
 
 def test_spectrum_basics():
