@@ -125,6 +125,16 @@ def _require_positive(name: str, value: float, count: int = 1) -> None:
         raise NonPositiveInterval(f"{name} {value!r} over {count} points spans an infinite range")
 
 
+def _require_finite_times(start_time: float, sample_interval: float, count: int) -> None:
+    """Raise InvalidParameter unless the sample times start_time + n * sample_interval,
+    n = 0..count-1, are finite.  They rise with n, so the last one decides, and
+    it is not finite either when start_time is not."""
+    last = start_time + sample_interval * (count - 1)
+    if not math.isfinite(last):
+        raise InvalidParameter(f"start_time must give finite sample times, got {start_time!r} "
+                               f"for {count} samples at interval {sample_interval!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Waveform:
     """Uniformly sampled signal x(t0 + n*T) for n = 0..N-1.
@@ -137,7 +147,8 @@ class Waveform:
     The other invariants are checked here too, and operations never
     re-check them: NonPositiveInterval unless 0 < sample_interval < inf with
     a finite span len * sample_interval, EmptySamples for no samples,
-    InvalidParameter for an unknown tag or a non-finite start_time.
+    InvalidParameter for an unknown tag or a start_time whose first or last
+    sample time is not finite.
 
     A real-tagged waveform owns its samples: a complex128 array passed in is
     copied, so later writes to it cannot break the tag.  Other samples are
@@ -163,8 +174,7 @@ class Waveform:
             raise EmptySamples("waveform has no samples")
         if self.tag not in (REAL, COMPLEX):
             raise InvalidParameter(f"unknown tag {self.tag!r}")
-        if not math.isfinite(start):
-            raise InvalidParameter(f"start_time must be finite, got {start!r}")
+        _require_finite_times(start, interval, given.size)
         arr = given.reshape(-1)
         if self.tag == REAL and (given is self.samples or not given.flags.owndata):
             arr = arr.copy()  # the caller's own memory: it could still write to it
@@ -202,9 +212,9 @@ class Spectrum:
     the midpoint wrap to negative frequencies.  ``centered`` in transforms
     reorders for display only.
 
-    Built with at least one bin (else EmptyBins), 0 < bin_spacing < inf and
-    a finite span len * bin_spacing (else NonPositiveInterval); operations
-    never re-check these.
+    Built with at least one bin (else EmptyBins), 0 < bin_spacing < inf, a
+    finite span len * bin_spacing and a finite record length 1 / bin_spacing
+    (else NonPositiveInterval); operations never re-check these.
     """
 
     bins: np.ndarray
@@ -216,6 +226,9 @@ class Spectrum:
             raise EmptyBins("spectrum has no bins")
         spacing = float(self.bin_spacing)
         _require_positive("bin_spacing", spacing, arr.size)
+        if 1.0 / spacing == math.inf:
+            raise NonPositiveInterval(f"bin_spacing {spacing!r} gives an infinite record "
+                                      f"length 1 / bin_spacing")
         object.__setattr__(self, "bins", _frozen(arr))
         object.__setattr__(self, "bin_spacing", spacing)
 

@@ -20,9 +20,10 @@ from .core import (
     FREQUENCY,
     Waveform,
     _eval_map,
+    _require_finite_times,
     _require_positive,
 )
-from .kernels import rect, sinc
+from .kernels import rect
 from .transforms import _fft_raw
 
 
@@ -39,15 +40,15 @@ def sample(map: Callable[[float], complex], sample_interval: float, count: int,
     """Evaluate a map at t0 + n*T for n = 0..count-1.
 
     The result is tagged real exactly when every imaginary part is zero.
-    Raises NonPositiveInterval, before the map is called, unless
+    Raises, before the map is called, NonPositiveInterval unless
     0 < sample_interval < inf with a finite span count * sample_interval, and
-    NonFiniteSample if the map produces NaN or infinity.
+    InvalidParameter unless count >= 1 and every sample time is finite.
+    Raises NonFiniteSample if the map produces NaN or infinity.
     """
     _require_positive("sample_interval", sample_interval, count)
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
-    if not math.isfinite(start_time):
-        raise InvalidParameter(f"start_time must be finite, got {start_time!r}")
+    _require_finite_times(start_time, sample_interval, count)
     ts = start_time + sample_interval * np.arange(count)
     vals = _eval_map(map, ts, complex)
     _require_finite(vals, ts, "t")
@@ -104,20 +105,34 @@ def sinc_reconstruct(w: Waveform, t: float, taps: int) -> complex:
     ``taps`` samples are used on each side of t (clipped at the record
     edges); there is no taper, so the truncation error decays like the
     tail of the sinc series it cuts off.  At a sample instant the value is
-    exact regardless of taps.
+    exact regardless of taps.  A call computes one window of at most
+    2 * taps kernel values, so its cost does not grow with the record.
+    Raises InvalidParameter unless taps >= 1 and both t and its offset
+    (t - t0)/T in samples are finite.
     """
     if taps < 1:
         raise InvalidParameter(f"taps must be >= 1, got {taps}")
     if not math.isfinite(t):
         raise InvalidParameter(f"t must be finite, got {t!r}")
     pos = (float(t) - w.start_time) / w.sample_interval
-    anchor = int(np.floor(pos))
+    if not math.isfinite(pos):
+        raise InvalidParameter(f"t {t!r} is an overflowing number of samples from start_time")
+    anchor = math.floor(pos)
     lo = max(0, anchor - taps + 1)
     hi = min(len(w) - 1, anchor + taps)
     if hi < lo:
         return 0.0 + 0.0j
-    n = np.arange(lo, hi + 1)
-    return complex(np.dot(w.samples[lo:hi + 1], sinc(pos - n)))
+    # sinc(pos - n) in place; the one zero argument, at n == pos, takes sinc(0) = 1
+    # without a 0/0
+    at = anchor - lo if pos == anchor and lo <= anchor <= hi else None
+    pu = np.pi * (pos - np.arange(lo, hi + 1))
+    if at is not None:
+        pu[at] = np.pi
+    s = np.sin(pu)
+    s /= pu
+    if at is not None:
+        s[at] = 1.0
+    return complex(np.dot(w.samples[lo:hi + 1], s))
 
 
 def sample_spectrum(spectrum_map: Callable[[float], complex], bin_spacing: float,

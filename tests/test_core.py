@@ -15,6 +15,7 @@ from fourierkit import (
     FourierKitError,
     GaborAtom,
     ImpulseTrain,
+    InvalidParameter,
     LengthMismatch,
     NonPositiveInterval,
     ParseError,
@@ -24,6 +25,7 @@ from fourierkit import (
     Spectrum,
     TFDistribution,
     Waveform,
+    sample,
     segmented_eval,
     validate_waveform,
 )
@@ -154,6 +156,8 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: sinc_reconstruct(Waveform(np.ones(4), 1.0), 0.5, 0),
         lambda: sinc_reconstruct(Waveform(np.ones(4), 1.0), math.nan, 2),
         lambda: sinc_reconstruct(Waveform(np.ones(4), 1.0), math.inf, 2),
+        lambda: sinc_reconstruct(Waveform([1.0, 2.0], 1e-300), 1e10, 4),
+        lambda: sinc_reconstruct(Waveform([1.0, 2.0], 1.0, -1e308), 1e308, 4),
         lambda: stft(Waveform(np.ones(8), 1.0), math.nan, 1, 4),
         lambda: stft(Waveform(np.ones(8), 1.0), math.inf, 1, 4),
         lambda: stft(Waveform(np.ones(8), 1.0), 1e200, 1, 4),
@@ -268,6 +272,33 @@ def test_spectrum_basics():
     # a spacing whose span over the bins overflows is refused, by its own name
     with pytest.raises(NonPositiveInterval, match="bin_spacing"):
         Spectrum([1.0, 2.0], 1e308)
+    # and so is one whose reciprocal, the length of its record, overflows
+    with pytest.raises(NonPositiveInterval, match="bin_spacing"):
+        Spectrum([1.0, 2.0], 3e-309)
+
+
+def test_a_subnormal_bin_spacing_with_a_finite_record_is_kept():
+    from fourierkit import fft, ifft
+    s = fft(Waveform([1.0, 2.0], 8e307))
+    assert isinstance(s, Spectrum)
+    assert 0.0 < s.bin_spacing < 1e-308
+    assert math.isfinite(ifft(s).duration)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Waveform([1.0, 2.0, 3.0], 1e307, 1.7e308),
+    lambda: sample(_map_never_called, 1e307, 4, start_time=1.7e308),
+], ids=["Waveform", "sample"])
+def test_start_time_must_give_finite_sample_times(build):
+    with pytest.raises(InvalidParameter, match="start_time"):
+        build()
+
+
+def test_start_time_near_the_float_limit_builds_when_the_times_stay_finite():
+    for start in (-1e308, 1e308):
+        w = Waveform([1.0, 2.0], 7e307, start)
+        assert np.all(np.isfinite(w.times))
+        assert w.times[0] == start
 
 
 def test_impulse_train_sorts_and_checks_duplicates():

@@ -251,6 +251,36 @@ def test_reconstruct_matches_explicit_truncated_sum():
         assert abs(sinc_reconstruct(w, float(t), 40) - want) <= 1e-12
 
 
+def _reference_reconstruct(w, t, taps):
+    # the generic-kernel formula that sinc_reconstruct replaced by a window built in place
+    pos = (float(t) - w.start_time) / w.sample_interval
+    anchor = int(np.floor(pos))
+    lo = max(0, anchor - taps + 1)
+    hi = min(len(w) - 1, anchor + taps)
+    if hi < lo:
+        return 0.0 + 0.0j
+    return complex(np.dot(w.samples[lo:hi + 1], sinc(pos - np.arange(lo, hi + 1))))
+
+
+@pytest.mark.parametrize("n", [1, 5, 50])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("start_time", [0.0, -1.5])
+def test_reconstruct_matches_the_generic_kernel_bit_for_bit(n, kind, start_time):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(n)
+    w = Waveform(x, 0.25, start_time)
+    assert w.tag == kind
+    for taps in (1, 2, 12):
+        # every sample instant from taps + 2 before the record to taps + 2 after it,
+        # and the same instants shifted by fractions of a sample
+        k = np.arange(-(taps + 2), n + taps + 2).astype(float)
+        for shift in (0.0, 0.25, 0.5, 0.7, -0.1):
+            for t in (start_time + 0.25 * (k + shift)).tolist():
+                assert sinc_reconstruct(w, t, taps) == _reference_reconstruct(w, t, taps)
+
+
 def test_reconstruct_truncation_error_halves_as_taps_double():
     # midpoint of a DC record: the cut-off sinc tails dominate the error
     w = Waveform(np.ones(1024), 1.0)
