@@ -1,6 +1,7 @@
 """Shared value types: waveforms, spectra, impulse trains, piecewise maps,
 Gabor atoms, and time-frequency grids, plus the helpers the other modules
-share: map evaluation, scalar-or-array results and the interval check.
+share: map evaluation, scalar-or-array results, the interval check and the
+float conversion of scalar arguments.
 
 Every type here is an immutable value object.  Operations in the rest of the
 package take these values and return new ones; nothing is mutated in place,
@@ -116,12 +117,21 @@ def _gaussian_width_ok(alpha: float) -> bool:
     return widest * widest < math.inf
 
 
+def _as_float(name: str, value: float, error: type[FourierKitError] = InvalidParameter) -> float:
+    """float(value); an integer too large for a float raises ``error`` naming
+    ``name`` instead of a bare OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} is an integer too large for a float") from None
+
+
 def _require_positive(name: str, value: float, count: int = 1) -> None:
     """Raise NonPositiveInterval unless 0 < value < inf and the span
     ``count * value`` of that spacing over ``count`` points is finite."""
     if not 0.0 < value < np.inf:
         raise NonPositiveInterval(f"{name} must be finite and > 0, got {value!r}")
-    if float(count) * float(value) == math.inf:
+    if float(count) * _as_float(name, value, NonPositiveInterval) == math.inf:
         raise NonPositiveInterval(f"{name} {value!r} over {count} points spans an infinite range")
 
 
@@ -129,7 +139,7 @@ def _require_finite_times(start_time: float, sample_interval: float, count: int)
     """Raise InvalidParameter unless the sample times start_time + n * sample_interval,
     n = 0..count-1, are finite.  They rise with n, so the last one decides, and
     it is not finite either when start_time is not."""
-    last = start_time + sample_interval * (count - 1)
+    last = _as_float("start_time", start_time) + sample_interval * (count - 1)
     if not math.isfinite(last):
         raise InvalidParameter(f"start_time must give finite sample times, got {start_time!r} "
                                f"for {count} samples at interval {sample_interval!r}")
@@ -148,7 +158,8 @@ class Waveform:
     re-check them: NonPositiveInterval unless 0 < sample_interval < inf with
     a finite span len * sample_interval, EmptySamples for no samples,
     InvalidParameter for an unknown tag or a start_time whose first or last
-    sample time is not finite.
+    sample time is not finite.  An integer too large for a float counts as
+    infinite.
 
     A real-tagged waveform owns its samples: a complex128 array passed in is
     copied, so later writes to it cannot break the tag.  Other samples are
@@ -168,7 +179,8 @@ class Waveform:
             object.__setattr__(self, "tag", REAL if real else COMPLEX)
         elif self.tag == REAL and not real:
             raise RealTagViolation("waveform tagged real has nonzero imaginary parts")
-        interval, start = float(self.sample_interval), float(self.start_time)
+        interval = _as_float("sample_interval", self.sample_interval, NonPositiveInterval)
+        start = _as_float("start_time", self.start_time)
         _require_positive("sample_interval", interval, given.size)
         if given.size == 0:
             raise EmptySamples("waveform has no samples")
@@ -214,7 +226,8 @@ class Spectrum:
 
     Built with at least one bin (else EmptyBins), 0 < bin_spacing < inf, a
     finite span len * bin_spacing and a finite record length 1 / bin_spacing
-    (else NonPositiveInterval); operations never re-check these.
+    (else NonPositiveInterval, also for an integer too large for a float);
+    operations never re-check these.
     """
 
     bins: np.ndarray
@@ -224,7 +237,7 @@ class Spectrum:
         arr = np.asarray(self.bins, dtype=np.complex128).reshape(-1)
         if arr.size == 0:
             raise EmptyBins("spectrum has no bins")
-        spacing = float(self.bin_spacing)
+        spacing = _as_float("bin_spacing", self.bin_spacing, NonPositiveInterval)
         _require_positive("bin_spacing", spacing, arr.size)
         if 1.0 / spacing == math.inf:
             raise NonPositiveInterval(f"bin_spacing {spacing!r} gives an infinite record "

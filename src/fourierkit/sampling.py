@@ -19,6 +19,7 @@ from .core import (
     NonFiniteSample,
     FREQUENCY,
     Waveform,
+    _as_float,
     _eval_map,
     _require_finite_times,
     _require_positive,
@@ -112,9 +113,10 @@ def sinc_reconstruct(w: Waveform, t: float, taps: int) -> complex:
     """
     if taps < 1:
         raise InvalidParameter(f"taps must be >= 1, got {taps}")
+    t = _as_float("t", t)
     if not math.isfinite(t):
         raise InvalidParameter(f"t must be finite, got {t!r}")
-    pos = (float(t) - w.start_time) / w.sample_interval
+    pos = (t - w.start_time) / w.sample_interval
     if not math.isfinite(pos):
         raise InvalidParameter(f"t {t!r} is an overflowing number of samples from start_time")
     anchor = math.floor(pos)

@@ -6,9 +6,9 @@ of a (..., N) array.  A length N = 2^a 3^b 5^c 7^d runs as mixed-radix
 stages of radix 16, 9, 25 or 7 and one each of 8/4/2, 3 and 5 for what is
 left, each one stacked matrix product with the r-point DFT matrix plus
 twiddles from small cached tables.  Any other length runs as a chirp
-convolution padded to the cheapest such length.  The time-frequency layer
-hands the core all of its frames in one call.  Forward transforms are
-unscaled, inverses carry 1/N.
+convolution padded to the cheapest such length, three transforms of that
+length.  The time-frequency layer hands the core all of its frames in one
+call.  Forward transforms are unscaled, inverses carry 1/N.
 
 Continuous side: ``quad_ft`` integrates map(t) * exp(-+ i 2 pi f t) with an
 adaptive Gauss-Kronrod rule, with an optional exponential damping factor
@@ -150,10 +150,11 @@ def _by_chunks(kernel: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return out.reshape(x.shape)
 
 
-def _fft_smooth(x: np.ndarray, conj: bool = False) -> np.ndarray:
+def _fft_smooth(x: np.ndarray, conj: bool = False, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
     """Cooley-Tukey transform of the last axis, whose length n must have a
     ``_plan``, in one stage per radix of the plan; with ``conj`` it
-    transforms conj(x) without touching x.
+    transforms conj(x).
 
     A stage sees each row as (t1, t2, done): t1 the leading time digit of
     radix r, t2 the rest of the sub-transform's time index, and done the
@@ -163,15 +164,19 @@ def _fft_smooth(x: np.ndarray, conj: bool = False) -> np.ndarray:
     as two small factors, split at the next stage's leading digit of t2, and
     one copy stores the row as (t2, k1, done) so that digit leads.  The last
     stage needs no twiddles and leaves the row in natural order.  Every
-    stage writes into the same two preallocated buffers.  The batch stays
-    out of the matmul's column count: every row runs the same BLAS call, so
-    a batch gives the bits of row-by-row calls.
+    stage writes into the same two buffers: ``out``, which returns the
+    result, and ``work``, each a C-contiguous complex128 array of x's size,
+    allocated when not given.  Only the first stage reads x, so x may serve
+    as ``work`` when it may be overwritten; otherwise x is left unchanged.
+    The batch stays out of the matmul's column count: every row runs the
+    same BLAS call, so a batch gives the bits of row-by-row calls.
     """
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
     batch = x.size // n
     plan = _plan(n)
-    spec, store = (np.empty((batch, n), dtype=np.complex128) for _ in range(2))
+    spec, store = (np.empty((batch, n), dtype=np.complex128) if buf is None
+                   else buf.reshape(batch, n) for buf in (out, work))
     src = np.conjugate(x.reshape(batch, n), out=store) if conj else x.reshape(batch, n)
     m, done = n, 1
     for r, lead in zip(plan, plan[1:] + (1,)):
@@ -205,33 +210,85 @@ def _bluestein_length(n: int) -> int:
     return min((m * len(_plan(m)), m) for m in lengths if m <= top)[1]
 
 
-def _bluestein(x: np.ndarray, conj: bool) -> np.ndarray:
-    """Arbitrary-length transform of the last axis (of conj(x) with
-    ``conj``) as a chirp-modulated convolution of ``_bluestein_length``
-    points.
+# From this length on, the two tables of ``_chirp`` cost less than n/2 complex
+# exponentials: below it, building them takes more numpy calls than it saves.
+_CHIRP_TABLES = 1024
 
-    The quadratic exponent is reduced mod 2N in integer arithmetic before
-    the complex exponential so large N does not lose phase accuracy.  The
-    chirp and the spectrum of the convolution kernel are built once per
-    call and shared by every row.
+
+def _chirp(n: int) -> np.ndarray:
+    """exp(-i pi k^2 / n) for k = 0..n-1, with the exponent r = k^2 mod 2n
+    reduced in integers.  Only k <= n/2 are computed: (n - k)^2 = k^2 + n^2
+    mod 2n, and n^2 is n mod 2n for odd n and 0 for even n, so the value at
+    n - k is (-1)^n times the value at k.  From ``_CHIRP_TABLES`` points on,
+    exp(-i pi r / n) is the product of two tables of about sqrt(2n)
+    exponentials each, at angles within half a turn, indexed by the high and
+    the low bits of r, so a call takes about 2 sqrt(2n) complex exponentials,
+    not n/2."""
+    half = n // 2 + 1
+    r = np.arange(half, dtype=np.int64)
+    r *= r
+    r %= 2 * n
+    angle = -1j * np.pi / n
+    chirp = np.empty(n, dtype=np.complex128)
+    if n < _CHIRP_TABLES:
+        np.exp(angle * r, out=chirp[:half])
+    else:
+        bits = ((2 * n - 1).bit_length() + 1) // 2  # r < 2^(2 bits)
+        high = np.arange(0, 2 * n, 1 << bits)
+        high[(n >> bits) + 1:] -= 2 * n  # the same roots, at angles within half a turn
+        np.take(np.exp(angle * high), r >> bits, out=chirp[:half])
+        r &= (1 << bits) - 1
+        chirp[:half] *= np.exp(angle * np.arange(1 << bits))[r]
+    np.multiply(chirp[n - half:0:-1], (-1) ** n, out=chirp[half:])
+    return chirp
+
+
+def _bluestein(x: np.ndarray, inverse: bool) -> np.ndarray:
+    """Arbitrary-length transform of the last axis, forward or inverse
+    (scaled by 1/n), as a chirp-modulated convolution of
+    m = ``_bluestein_length`` points: three m-point transforms and a few
+    passes over the data.
+
+    One allocation holds the kernel's spectrum and two row buffers for one
+    ``_by_chunks`` block.  The kernel, with the 1/m of the convolution's
+    inverse transform (and the 1/n of an inverse) folded in, is built in
+    the first row buffer and transformed into its place once per call.
+    Each block of rows goes into the first buffer, its transform into the
+    second, which is multiplied by the kernel's spectrum and transformed
+    back into the first.  That transform is forward: the inverse at j is
+    the forward one at -j mod m, so the forward result X is read backwards,
+    and the inverse, X at -k mod n, forwards.  A one-row call peaks near
+    three padded buffers plus the chirp and the output.  Freed as one
+    block, the scratch stays in glibc's heap for the next call instead of
+    being returned to the system and faulted in again.
     """
     n = x.shape[-1]
-    chirp = np.exp((-1j * np.pi / n) * (np.arange(n, dtype=np.int64) ** 2 % (2 * n)))
     m = _bluestein_length(n)
-    kernel = np.zeros(m, dtype=np.complex128)
-    kernel[:n] = np.conj(chirp)
-    kernel[m - n + 1:] = np.conj(chirp[1:])[::-1]
-    kernel = _fft_smooth(kernel)  # rebinding frees the padded chirp before the rows run
+    chirp = _chirp(n)
+    block = max(1, min(x.size // n, _CHUNK_POINTS // m))  # rows of one _by_chunks block
+    scratch = np.empty((1 + 2 * block, m), dtype=np.complex128)
+    kernel, pad = scratch[0], scratch[1]
+    np.conjugate(chirp, out=pad[:n])
+    pad[:n] /= m * n if inverse else m
+    pad[n:m - n + 1] = 0.0
+    pad[m - n + 1:] = pad[n - 1:0:-1]
+    _fft_smooth(pad, out=kernel, work=pad)
 
     def convolve(rows: np.ndarray) -> np.ndarray:
-        a = np.zeros((rows.shape[0], m), dtype=np.complex128)
-        head = np.conjugate(rows, out=a[:, :n]) if conj else rows
-        np.multiply(head, chirp, out=a[:, :n])
-        np.multiply(_fft_smooth(a), kernel, out=a)
-        # inverse transform as conj(fft(conj(.))) / m
-        out = np.conjugate(_fft_smooth(a, conj=True)[:, :n])
-        out /= m
-        out *= chirp
+        a = scratch[1:1 + rows.shape[0]]
+        spec = scratch[1 + block:1 + block + rows.shape[0]]
+        np.multiply(rows, chirp, out=a[:, :n])
+        a[:, n:] = 0.0
+        _fft_smooth(a, out=spec, work=a)
+        spec *= kernel
+        _fft_smooth(spec, out=a, work=spec)
+        # X[j] = chirp[j] a[-j mod m], and the inverse is X[-k mod n]
+        out = np.empty(rows.shape, dtype=np.complex128)
+        out[:, 0] = a[:, 0]  # chirp[0] is 1
+        if inverse:
+            np.multiply(a[:, m - n + 1:], chirp[:0:-1], out=out[:, 1:])
+        else:
+            np.multiply(a[:, :m - n:-1], chirp[1:], out=out[:, 1:])
         return out
 
     return _by_chunks(convolve, x, m)
@@ -240,16 +297,16 @@ def _bluestein(x: np.ndarray, conj: bool) -> np.ndarray:
 def _transform(x: np.ndarray, inverse: bool) -> np.ndarray:
     """Transform of the last axis of a (..., n) array: mixed-radix stages for
     lengths 2^a 3^b 5^c 7^d, a chirp convolution padded to such a length for
-    the others.  The inverse is conj(fft(conj(x))) / n, with the input
-    conjugated into the kernel's scratch so x is neither copied nor changed."""
+    the others.  On the mixed-radix path the inverse is conj(fft(conj(x))) / n,
+    with the input conjugated into the kernel's scratch, so x is neither
+    copied nor changed."""
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
     if n <= 1:
         return x.copy()
     if _plan(n) is None:
-        out = _bluestein(x, conj=inverse)
-    else:
-        out = _by_chunks(partial(_fft_smooth, conj=inverse), x, n)
+        return _bluestein(x, inverse)
+    out = _by_chunks(partial(_fft_smooth, conj=inverse), x, n)
     if inverse:
         np.conjugate(out, out=out)
         out /= n

@@ -181,6 +181,10 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: Waveform([1.0, 2.0], 1.0, start_time=math.nan),
         lambda: Waveform([1.0, 2.0], 1.0, start_time=math.inf),
         lambda: Waveform([1.0, 2.0], 1.0, start_time=-math.inf),
+        # integers too large for a float
+        lambda: Waveform([1.0], 1.0, 10 ** 400),
+        lambda: sample(f, 1.0, 4, start_time=10 ** 400),
+        lambda: sinc_reconstruct(Waveform([1.0], 1.0), 10 ** 400, 4),
         lambda: TFDistribution(np.zeros((1, 1)), [0.0], [0.0], kind="scalogram"),
         lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=0),
         lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=math.nan),
@@ -228,6 +232,10 @@ def _map_never_called(t):
     ("Spectrum", ([1.0, 2.0], 1e308)),
     ("Waveform", ([1.0, 2.0], 1e308)),
     ("sample", (_map_never_called, 1e308, 4)),  # finite interval, overflowing span
+    # integers too large for a float
+    ("Waveform", ([1.0], 10 ** 400)),
+    ("sample", (_map_never_called, 10 ** 400, 4)),
+    ("Spectrum", ([1.0], 10 ** 400)),
 ])
 def test_intervals_must_be_finite(name, args):
     import fourierkit

@@ -38,6 +38,7 @@ from fourierkit import (
 from fourierkit.transforms import (
     _CHUNK_POINTS,
     _bluestein_length,
+    _chirp,
     _dft_raw,
     _fft_raw,
     _ifft_raw,
@@ -130,7 +131,8 @@ def test_fft_matches_dft_and_numpy(n):
     assert np.max(np.abs(ours_fast - oracle)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("n", [2 ** 18, 131101])
+# 140009 pads to the mixed-radix 281250, 262139 to 2^19
+@pytest.mark.parametrize("n", [2 ** 18, 131101, 140009, 262139])
 def test_large_fft_matches_numpy(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -237,6 +239,31 @@ def test_bluestein_memory_stays_near_four_padded_buffers():
     assert np.array_equal(x, before)
 
 
+def test_bluestein_peak_stays_below_four_and_a_quarter_padded_buffers():
+    # the kernel's spectrum and two row buffers, plus the n-point chirp and output
+    x = np.random.default_rng(19).standard_normal(131101) + 1j
+    padded_bytes = 16 * _bluestein_length(131101)
+    assert _traced_peak(_fft_raw, x) <= 4.25 * padded_bytes
+    assert _traced_peak(_ifft_raw, x) <= 4.25 * padded_bytes
+
+
+# primes near 2^17, 2^18 and 2^20
+@pytest.mark.parametrize("n", [131101, 262139, 1048573])
+def test_two_table_chirp_is_as_close_to_the_exact_chirp_as_direct_exponentials(n):
+    if np.finfo(np.longdouble).precision < 18:
+        pytest.skip("long double is no wider than double on this platform")
+    k = np.arange(n, dtype=np.int64)
+    r = k * k % (2 * n)
+    # exp(-i pi r / n) with the angle in extended precision, rounded once
+    angle = np.longdouble("3.14159265358979323846264338327950288") * r / n
+    exact = np.cos(angle).astype(float) - 1j * np.sin(angle).astype(float)
+    # the direct formula's angle spans a whole turn, so it rounds further off
+    direct = np.exp(-1j * np.pi * r / n)
+    err = np.max(np.abs(_chirp(n) - exact))
+    assert err <= 6e-16
+    assert err < np.max(np.abs(direct - exact))
+
+
 # sha256 of the transforms of power-of-two inputs as the radix-16 kernel gave
 # them before mixed-radix plans (numpy 2.4 with OpenBLAS on x86-64): a power of
 # two keeps its stages, so it keeps its bits
@@ -261,11 +288,13 @@ def test_pow2_transform_bits_are_pinned(n):
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
-from fourierkit.transforms import _fft_raw
+from fourierkit.transforms import _fft_raw, _ifft_raw
 rng = np.random.default_rng(7)
 for n in (64, 2 ** 16, 48000, 65537, 140009):
     x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
     print(n, hashlib.sha256(_fft_raw(x).tobytes()).hexdigest())
+    if n in (65537, 140009):  # the Bluestein inverse, read backwards
+        print(n, hashlib.sha256(_ifft_raw(x).tobytes()).hexdigest())
 """
 
 
@@ -278,7 +307,7 @@ def test_transform_bytes_do_not_depend_on_blas_threads():
     default = subprocess.run(argv, env=env, capture_output=True, check=True, text=True)
     single = subprocess.run(argv, env={**env, "OPENBLAS_NUM_THREADS": "1"},
                             capture_output=True, check=True, text=True)
-    assert default.stdout.count("\n") == 5
+    assert default.stdout.count("\n") == 7
     assert single.stdout == default.stdout
 
 
@@ -376,6 +405,12 @@ def test_batch_larger_than_one_chunk_equals_row_by_row(n, padded):
     x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     got = _fft_raw(x)
     assert np.array_equal(got, np.array([_fft_raw(row) for row in x]))
+
+
+@pytest.mark.parametrize("shape", [(0, 16), (0, 11), (2, 0, 11)])
+def test_empty_batch_keeps_its_shape(shape):
+    for raw in (_fft_raw, _ifft_raw):
+        assert raw(np.zeros(shape, dtype=np.complex128)).shape == shape
 
 
 def test_centered_orders_frequencies():
