@@ -1,7 +1,7 @@
 """Shared value types: waveforms, spectra, impulse trains, piecewise maps,
 Gabor atoms, and time-frequency grids, plus the helpers the other modules
-share: map evaluation, scalar-or-array results, the interval check and the
-float conversion of scalar arguments.
+share: map evaluation, scalar-or-array results, the interval check, the
+float conversion of scalar arguments and the count check.
 
 Every type here is an immutable value object.  Operations in the rest of the
 package take these values and return new ones; nothing is mutated in place,
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -124,6 +125,16 @@ def _as_float(name: str, value: float, error: type[FourierKitError] = InvalidPar
         return float(value)
     except OverflowError:
         raise error(f"{name} is an integer too large for a float") from None
+
+
+def _as_count(name: str, value: int, width: int = 1) -> int:
+    """int(value); InvalidParameter naming ``name`` unless it is an integer
+    >= 1 and numpy can size an array of ``width`` complex128 values per unit
+    of it (an array's byte count must fit an intp)."""
+    top = np.iinfo(np.intp).max // (16 * width)
+    if not isinstance(value, Integral) or not 1 <= value <= top:
+        raise InvalidParameter(f"{name} must be an integer from 1 to {top}, got {value!r}")
+    return int(value)
 
 
 def _require_positive(name: str, value: float, count: int = 1) -> None:

@@ -11,7 +11,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ImpulseTrain, InvalidParameter, TIME, _eval_map, _match, _require_positive
+from .core import (ImpulseTrain, InvalidParameter, TIME, _as_count, _eval_map, _match,
+                   _require_positive)
 
 # Below this, sin(theta/2) is treated as zero and the kernel's limit is used.
 _SINGULAR = 1e-12
@@ -81,8 +82,7 @@ def step(x):
 def make_comb(period: float, count: int, weight: complex = 1.0, domain: str = TIME) -> ImpulseTrain:
     """Equally weighted impulses at 0, period, ..., (count-1)*period."""
     _require_positive("period", period)
-    if count < 1:
-        raise InvalidParameter(f"count must be >= 1, got {count}")
+    count = _as_count("count", count)
     return ImpulseTrain(tuple((k * period, weight) for k in range(count)), domain=domain)
 
 

@@ -19,6 +19,7 @@ from .core import (
     NonFiniteSample,
     FREQUENCY,
     Waveform,
+    _as_count,
     _as_float,
     _eval_map,
     _require_finite_times,
@@ -41,14 +42,14 @@ def sample(map: Callable[[float], complex], sample_interval: float, count: int,
     """Evaluate a map at t0 + n*T for n = 0..count-1.
 
     The result is tagged real exactly when every imaginary part is zero.
-    Raises, before the map is called, NonPositiveInterval unless
+    Raises, before the map is called, InvalidParameter unless count is an
+    integer >= 1 that numpy can size an array by, NonPositiveInterval unless
     0 < sample_interval < inf with a finite span count * sample_interval, and
-    InvalidParameter unless count >= 1 and every sample time is finite.
-    Raises NonFiniteSample if the map produces NaN or infinity.
+    InvalidParameter unless every sample time is finite.  Raises
+    NonFiniteSample if the map produces NaN or infinity.
     """
+    count = _as_count("count", count)
     _require_positive("sample_interval", sample_interval, count)
-    if count < 1:
-        raise InvalidParameter(f"count must be >= 1, got {count}")
     _require_finite_times(start_time, sample_interval, count)
     ts = start_time + sample_interval * np.arange(count)
     vals = _eval_map(map, ts, complex)
@@ -148,11 +149,11 @@ def sample_spectrum(spectrum_map: Callable[[float], complex], bin_spacing: float
     lines placed at bins -k mod 4 * count.  The waveform is tagged real,
     keeping the real part, exactly when X(-kF) = conj(X(kF)) for every line
     (a line whose partner was not sampled pairs with 0).  Raises
-    NonFiniteSample if the map produces NaN or infinity.
+    InvalidParameter unless count is an integer >= 1 that numpy can size the
+    two periods by, and NonFiniteSample if the map produces NaN or infinity.
     """
     _require_positive("bin_spacing", bin_spacing)
-    if count < 1:
-        raise InvalidParameter(f"count must be >= 1, got {count}")
+    count = _as_count("count", count, 8)  # two periods of 4 * count samples
     ks = np.arange(-(count // 2), count - count // 2)
     freqs = ks * bin_spacing
     weights = _eval_map(spectrum_map, freqs, complex)

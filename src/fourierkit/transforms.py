@@ -8,7 +8,8 @@ left, each one stacked matrix product with the r-point DFT matrix plus
 twiddles from small cached tables.  Any other length runs as a chirp
 convolution padded to the cheapest such length, three transforms of that
 length.  The time-frequency layer hands the core all of its frames in one
-call.  Forward transforms are unscaled, inverses carry 1/N.
+call.  The core computes forward transforms only, unscaled; an inverse is
+the forward transform read backwards, at -k mod N, and divided by N.
 
 Continuous side: ``quad_ft`` integrates map(t) * exp(-+ i 2 pi f t) with an
 adaptive Gauss-Kronrod rule, with an optional exponential damping factor
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from numbers import Integral
 from typing import Callable
 
@@ -150,11 +151,10 @@ def _by_chunks(kernel: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return out.reshape(x.shape)
 
 
-def _fft_smooth(x: np.ndarray, conj: bool = False, out: np.ndarray | None = None,
+def _fft_smooth(x: np.ndarray, out: np.ndarray | None = None,
                 work: np.ndarray | None = None) -> np.ndarray:
-    """Cooley-Tukey transform of the last axis, whose length n must have a
-    ``_plan``, in one stage per radix of the plan; with ``conj`` it
-    transforms conj(x).
+    """Forward Cooley-Tukey transform of the last axis, whose length n must
+    have a ``_plan``, in one stage per radix of the plan.
 
     A stage sees each row as (t1, t2, done): t1 the leading time digit of
     radix r, t2 the rest of the sub-transform's time index, and done the
@@ -177,8 +177,7 @@ def _fft_smooth(x: np.ndarray, conj: bool = False, out: np.ndarray | None = None
     plan = _plan(n)
     spec, store = (np.empty((batch, n), dtype=np.complex128) if buf is None
                    else buf.reshape(batch, n) for buf in (out, work))
-    src = np.conjugate(x.reshape(batch, n), out=store) if conj else x.reshape(batch, n)
-    m, done = n, 1
+    src, m, done = x.reshape(batch, n), n, 1
     for r, lead in zip(plan, plan[1:] + (1,)):
         np.matmul(_twiddle(r, r, 1, r), src.reshape(batch, r, n // r),
                   out=spec.reshape(batch, r, n // r))
@@ -243,21 +242,19 @@ def _chirp(n: int) -> np.ndarray:
     return chirp
 
 
-def _bluestein(x: np.ndarray, inverse: bool) -> np.ndarray:
-    """Arbitrary-length transform of the last axis, forward or inverse
-    (scaled by 1/n), as a chirp-modulated convolution of
-    m = ``_bluestein_length`` points: three m-point transforms and a few
-    passes over the data.
+def _bluestein(x: np.ndarray) -> np.ndarray:
+    """Forward arbitrary-length transform of the last axis as a
+    chirp-modulated convolution of m = ``_bluestein_length`` points: three
+    m-point transforms and a few passes over the data.
 
     One allocation holds the kernel's spectrum and two row buffers for one
     ``_by_chunks`` block.  The kernel, with the 1/m of the convolution's
-    inverse transform (and the 1/n of an inverse) folded in, is built in
-    the first row buffer and transformed into its place once per call.
-    Each block of rows goes into the first buffer, its transform into the
-    second, which is multiplied by the kernel's spectrum and transformed
-    back into the first.  That transform is forward: the inverse at j is
-    the forward one at -j mod m, so the forward result X is read backwards,
-    and the inverse, X at -k mod n, forwards.  A one-row call peaks near
+    inverse transform folded in, is built in the first row buffer and
+    transformed into its place once per call.  Each block of rows goes into
+    the first buffer, its transform into the second, which is multiplied by
+    the kernel's spectrum and transformed back into the first.  That
+    transform is forward: the inverse at j is the forward one at -j mod m,
+    so its result is read backwards.  A one-row call peaks near
     three padded buffers plus the chirp and the output.  Freed as one
     block, the scratch stays in glibc's heap for the next call instead of
     being returned to the system and faulted in again.
@@ -269,7 +266,7 @@ def _bluestein(x: np.ndarray, inverse: bool) -> np.ndarray:
     scratch = np.empty((1 + 2 * block, m), dtype=np.complex128)
     kernel, pad = scratch[0], scratch[1]
     np.conjugate(chirp, out=pad[:n])
-    pad[:n] /= m * n if inverse else m
+    pad[:n] /= m
     pad[n:m - n + 1] = 0.0
     pad[m - n + 1:] = pad[n - 1:0:-1]
     _fft_smooth(pad, out=kernel, work=pad)
@@ -282,45 +279,35 @@ def _bluestein(x: np.ndarray, inverse: bool) -> np.ndarray:
         _fft_smooth(a, out=spec, work=a)
         spec *= kernel
         _fft_smooth(spec, out=a, work=spec)
-        # X[j] = chirp[j] a[-j mod m], and the inverse is X[-k mod n]
+        # X[j] = chirp[j] a[-j mod m]
         out = np.empty(rows.shape, dtype=np.complex128)
         out[:, 0] = a[:, 0]  # chirp[0] is 1
-        if inverse:
-            np.multiply(a[:, m - n + 1:], chirp[:0:-1], out=out[:, 1:])
-        else:
-            np.multiply(a[:, :m - n:-1], chirp[1:], out=out[:, 1:])
+        np.multiply(a[:, :m - n:-1], chirp[1:], out=out[:, 1:])
         return out
 
     return _by_chunks(convolve, x, m)
 
 
-def _transform(x: np.ndarray, inverse: bool) -> np.ndarray:
-    """Transform of the last axis of a (..., n) array: mixed-radix stages for
-    lengths 2^a 3^b 5^c 7^d, a chirp convolution padded to such a length for
-    the others.  On the mixed-radix path the inverse is conj(fft(conj(x))) / n,
-    with the input conjugated into the kernel's scratch, so x is neither
-    copied nor changed."""
+def _fft_raw(x: np.ndarray) -> np.ndarray:
+    """Forward transform of the last axis of a (..., n) array, unscaled, x
+    left unchanged: mixed-radix stages for lengths 2^a 3^b 5^c 7^d, a chirp
+    convolution padded to such a length for the others."""
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
     if n <= 1:
         return x.copy()
-    if _plan(n) is None:
-        return _bluestein(x, inverse)
-    out = _by_chunks(partial(_fft_smooth, conj=inverse), x, n)
-    if inverse:
-        np.conjugate(out, out=out)
-        out /= n
-    return out
-
-
-def _fft_raw(x: np.ndarray) -> np.ndarray:
-    """Forward transform of the last axis of a (..., n) array, unscaled."""
-    return _transform(x, inverse=False)
+    return _by_chunks(_fft_smooth, x, n) if _plan(n) else _bluestein(x)
 
 
 def _ifft_raw(x: np.ndarray) -> np.ndarray:
-    """Inverse transform of the last axis of a (..., n) array, scaled by 1/n."""
-    return _transform(x, inverse=True)
+    """Inverse transform of the last axis of a (..., n) array: the forward
+    transform F read backwards, F at -k mod n, and divided by n."""
+    spec = _fft_raw(x)
+    n = spec.shape[-1]
+    out = np.empty_like(spec)
+    np.divide(spec[..., :1], n, out=out[..., :1])
+    np.divide(spec[..., :0:-1], n, out=out[..., 1:])
+    return out
 
 
 def fft(w: Waveform) -> Spectrum:

@@ -184,6 +184,13 @@ def test_bad_arguments_raise_invalid_parameter():
         # integers too large for a float
         lambda: Waveform([1.0], 1.0, 10 ** 400),
         lambda: sample(f, 1.0, 4, start_time=10 ** 400),
+        # counts that are not integers or that numpy cannot size an array by
+        lambda: sample(f, 1.0, 2.5),
+        lambda: sample(f, 1.0, 10 ** 20),
+        lambda: sample(f, 1.0, 10 ** 400),
+        lambda: sample_spectrum(f, 1.0, 2.5),
+        lambda: sample_spectrum(f, 1.0, 10 ** 20),
+        lambda: sample_spectrum(f, 1.0, 10 ** 400),
         lambda: sinc_reconstruct(Waveform([1.0], 1.0), 10 ** 400, 4),
         lambda: TFDistribution(np.zeros((1, 1)), [0.0], [0.0], kind="scalogram"),
         lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=0),

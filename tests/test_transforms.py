@@ -223,7 +223,7 @@ def test_pow2_transform_memory_stays_near_two_buffers():
     assert _traced_peak(_fft_raw, x) <= 2.5 * x.nbytes
 
 
-def test_inverse_conjugates_into_scratch_not_a_copy():
+def test_inverse_leaves_its_input_and_stays_near_two_buffers():
     x = np.random.default_rng(18).standard_normal(2 ** 18) + 1j
     before = x.copy()
     assert _traced_peak(_ifft_raw, x) <= 2.5 * x.nbytes
@@ -264,16 +264,18 @@ def test_two_table_chirp_is_as_close_to_the_exact_chirp_as_direct_exponentials(n
     assert err < np.max(np.abs(direct - exact))
 
 
-# sha256 of the transforms of power-of-two inputs as the radix-16 kernel gave
-# them before mixed-radix plans (numpy 2.4 with OpenBLAS on x86-64): a power of
-# two keeps its stages, so it keeps its bits
+# sha256 of the transforms of power-of-two inputs (numpy 2.4 with OpenBLAS on
+# x86-64).  The forward digests are the radix-16 kernel's from before
+# mixed-radix plans: a power of two keeps its stages, so it keeps its bits.
+# The inverse digests are those of the forward transform read backwards and
+# divided by n.
 _POW2_DIGESTS = {
     64: ("a82b2d3c32f4e09ebe418b731a64b848e5661d32e8f67d895ccc827bace7f299",
-         "c6d5eab5d6c61d3c0ac50d07a3da5de54988d3e31d0db009c7ce2d863d055d7e"),
+         "0eec51c5e2d5bf64cbff4c7b0c0a044609f85b6bcd5c4bf0aa5c07242af7e216"),
     2 ** 16: ("b4ad7e59cf5e7675bbea0c6ec3a42f1774547f81d9933b5174317dccc5d8e043",
-              "d6d45f4efab8dc7ba6c8f8bc91b8606f75c12b209dcd85a49badad0b45895cee"),
+              "a6ab4d1a2c5614df27f31a9361044cad24d4b263fa331d029b44b48118b0cb0e"),
     2 ** 18: ("373829ad516e8138b0d0d49edc6038da064e470321fd32d5679e0bd394fdfc11",
-              "ff5ca5c203dc5ea407ef87aaa92be477bf2380c7d9b5107bfc06eb3407f35c50"),
+              "6ce2bfa0b0e7cc30b104cfa4c9c5510a35b840531749c73d4ae17e5205cad1f1"),
 }
 
 
@@ -292,9 +294,8 @@ from fourierkit.transforms import _fft_raw, _ifft_raw
 rng = np.random.default_rng(7)
 for n in (64, 2 ** 16, 48000, 65537, 140009):
     x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    print(n, hashlib.sha256(_fft_raw(x).tobytes()).hexdigest())
-    if n in (65537, 140009):  # the Bluestein inverse, read backwards
-        print(n, hashlib.sha256(_ifft_raw(x).tobytes()).hexdigest())
+    for raw in (_fft_raw, _ifft_raw):
+        print(n, hashlib.sha256(raw(x).tobytes()).hexdigest())
 """
 
 
@@ -307,7 +308,7 @@ def test_transform_bytes_do_not_depend_on_blas_threads():
     default = subprocess.run(argv, env=env, capture_output=True, check=True, text=True)
     single = subprocess.run(argv, env={**env, "OPENBLAS_NUM_THREADS": "1"},
                             capture_output=True, check=True, text=True)
-    assert default.stdout.count("\n") == 7
+    assert default.stdout.count("\n") == 10
     assert single.stdout == default.stdout
 
 
@@ -405,6 +406,18 @@ def test_batch_larger_than_one_chunk_equals_row_by_row(n, padded):
     x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     got = _fft_raw(x)
     assert np.array_equal(got, np.array([_fft_raw(row) for row in x]))
+
+
+# smooth lengths, Bluestein lengths, and batches past one _by_chunks block
+@pytest.mark.parametrize("shape", [(64,), (48000,), (263,), (65537,), (3, 64), (3, 48000),
+                                   (3, 263), (3, 65537), (_CHUNK_POINTS // 256 + 3, 256),
+                                   (_CHUNK_POINTS // 2025 + 3, 1009)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_inverse_is_the_forward_transform_read_backwards_over_n(shape):
+    rng = np.random.default_rng(shape[-1])
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = _fft_raw(x)  # read at -k mod n and divided by n
+    assert np.array_equal(_ifft_raw(x), np.concatenate([f[..., :1], f[..., :0:-1]], -1) / shape[-1])
 
 
 @pytest.mark.parametrize("shape", [(0, 16), (0, 11), (2, 0, 11)])
