@@ -452,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except BrokenPipeError:
         return 1
-    except (FourierKitError, OSError, ValueError) as exc:
+    except (FourierKitError, OSError, ValueError, MemoryError) as exc:
         print(f"fourierkit: error: {exc}", file=sys.stderr)
         return 1
 

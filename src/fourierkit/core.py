@@ -15,8 +15,8 @@ must not be written afterwards; the caller's array itself stays writable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -127,14 +127,20 @@ def _as_float(name: str, value: float, error: type[FourierKitError] = InvalidPar
         raise error(f"{name} is an integer too large for a float") from None
 
 
-def _as_count(name: str, value: int, width: int = 1) -> int:
-    """int(value); InvalidParameter naming ``name`` unless it is an integer
-    >= 1 and numpy can size an array of ``width`` complex128 values per unit
-    of it (an array's byte count must fit an intp)."""
-    top = np.iinfo(np.intp).max // (16 * width)
-    if not isinstance(value, Integral) or not 1 <= value <= top:
-        raise InvalidParameter(f"{name} must be an integer from 1 to {top}, got {value!r}")
-    return int(value)
+_MAX_COUNT = int(np.iinfo(np.intp).max) // 16  # complex128 values whose byte count fits an intp
+
+
+def _as_count(name: str, value: int, width: int = 1, least: float = 1) -> int:
+    """operator.index(value); InvalidParameter naming ``name`` unless it is an integer >=
+    ``least`` and numpy can size an array of ``width`` complex128 values per unit of it."""
+    top = _MAX_COUNT // width
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = math.nan  # not an integer: fails both comparisons below
+    if not least <= count <= top:
+        raise InvalidParameter(f"{name} must be an integer from {least} to {top}, got {value!r}")
+    return count
 
 
 def _require_positive(name: str, value: float, count: int = 1) -> None:

@@ -11,8 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (ImpulseTrain, InvalidParameter, TIME, _as_count, _eval_map, _match,
-                   _require_positive)
+from .core import ImpulseTrain, TIME, _as_count, _eval_map, _match, _require_positive
 
 # Below this, sin(theta/2) is treated as zero and the kernel's limit is used.
 _SINGULAR = 1e-12
@@ -20,8 +19,7 @@ _SINGULAR = 1e-12
 
 def dirichlet_sum(i: int, theta) -> float:
     """Truncated cosine kernel 1/2 + sum_{m=1..i} cos(m*theta)."""
-    if i < 0:
-        raise InvalidParameter(f"order must be >= 0, got {i}")
+    i = _as_count("order", i, least=0)
     th = np.asarray(theta, dtype=float)
     m = np.arange(1, i + 1)
     out = 0.5 + np.cos(np.multiply.outer(th, m)).sum(axis=-1)
@@ -38,8 +36,7 @@ def dirichlet_closed(i: int, theta) -> float:
     denominator cancel because 2i+1 is odd.  At the turns themselves the
     quotient is replaced by its limit i + 1/2.
     """
-    if i < 0:
-        raise InvalidParameter(f"order must be >= 0, got {i}")
+    i = _as_count("order", i, least=0)
     th = np.asarray(theta, dtype=float)
     ph = th - 2.0 * np.pi * np.round(th / (2.0 * np.pi))
     half = np.sin(ph / 2.0)
@@ -82,8 +79,8 @@ def step(x):
 def make_comb(period: float, count: int, weight: complex = 1.0, domain: str = TIME) -> ImpulseTrain:
     """Equally weighted impulses at 0, period, ..., (count-1)*period."""
     _require_positive("period", period)
-    count = _as_count("count", count)
-    return ImpulseTrain(tuple((k * period, weight) for k in range(count)), domain=domain)
+    locations = np.arange(_as_count("count", count)) * period  # fails at once for a huge count
+    return ImpulseTrain(tuple((loc, weight) for loc in locations.tolist()), domain=domain)
 
 
 def sift(train: ImpulseTrain, map: Callable[[float], complex]) -> complex:

@@ -109,11 +109,10 @@ def sinc_reconstruct(w: Waveform, t: float, taps: int) -> complex:
     tail of the sinc series it cuts off.  At a sample instant the value is
     exact regardless of taps.  A call computes one window of at most
     2 * taps kernel values, so its cost does not grow with the record.
-    Raises InvalidParameter unless taps >= 1 and both t and its offset
-    (t - t0)/T in samples are finite.
+    Raises InvalidParameter unless taps is an integer >= 1 and both t and
+    its offset (t - t0)/T in samples are finite.
     """
-    if taps < 1:
-        raise InvalidParameter(f"taps must be >= 1, got {taps}")
+    taps = _as_count("taps", taps)
     t = _as_float("t", t)
     if not math.isfinite(t):
         raise InvalidParameter(f"t must be finite, got {t!r}")

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import InvalidParameter, _eval_map, _frozen, _match, _require_positive
+from .core import InvalidParameter, _as_count, _eval_map, _frozen, _match, _require_positive
 from .transforms import QuadratureSpec, _BLOCK_ENTRIES, _fft_raw
 
 
@@ -85,6 +85,7 @@ def _refine(map: Callable[[float], float], span: float, k: int,
     power-of-two (radix-16) core, capped at the budget.  Each doubling keeps
     the samples taken so far and evaluates only the new midpoints.
     """
+    k = _as_count("harmonic count", k, least=0)
     spec = spec or QuadratureSpec(0.0, 1.0)
     tol, max_panels = spec.abs_tolerance, spec.max_subdivisions
     per_harmonic = 64 if periodic else 32
@@ -126,8 +127,6 @@ def series_coefficients(map: Callable[[float], float], period: float, k: int,
     rather than raised.
     """
     _require_positive("period", period)
-    if k < 0:
-        raise InvalidParameter(f"harmonic count must be >= 0, got {k}")
     v, flags = _refine(map, period, k, spec, True, lambda c: np.r_[c.real, -c.imag[1:]])
     return SeriesCoefficients(v[0], v[1:k + 1], v[k + 1:], period, flags)
 
@@ -144,8 +143,6 @@ def half_series_coefficients(map: Callable[[float], float], extent: float, kind:
     if kind not in ("cosine", "sine"):
         raise InvalidParameter(f"kind must be 'cosine' or 'sine', got {kind!r}")
     _require_positive("extent", extent)
-    if k < 0:
-        raise InvalidParameter(f"harmonic count must be >= 0, got {k}")
     if kind == "cosine":
         v, flags = _refine(map, extent, k, spec, False, lambda c: c.real)
         return SeriesCoefficients(v[0], v[1:], np.zeros(k), 2.0 * extent, flags)

@@ -21,6 +21,7 @@ from .core import (
     TFDistribution,
     Waveform,
     ZeroEnergy,
+    _as_count,
     _gaussian_width_ok,
     _match,
 )
@@ -90,10 +91,7 @@ def stft(w: Waveform, window_alpha: float, hop: int, frame: int) -> TFDistributi
     if not (window_alpha == 0.0 or _gaussian_width_ok(window_alpha)):
         raise InvalidParameter(f"window_alpha must be 0, or > 0 with alpha^2 and (pi/alpha)^2 "
                                f"finite, got {window_alpha!r}")
-    if hop < 1:
-        raise InvalidParameter(f"hop must be >= 1, got {hop}")
-    if frame < 1:
-        raise InvalidParameter(f"frame must be >= 1, got {frame}")
+    hop, frame = _as_count("hop", hop), _as_count("frame", frame)
     n = len(w)
     if frame > n:
         raise FrameTooLong(f"frame {frame} longer than record {n}")

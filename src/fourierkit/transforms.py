@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -41,6 +40,7 @@ from .core import (
     Spectrum,
     ToleranceNotReached,
     Waveform,
+    _as_count,
     _eval_map,
     _require_positive,
 )
@@ -344,6 +344,7 @@ def _bin_frequency(k, n: int, sample_rate: float):
 
 def bin_to_frequency(k: int, n: int, sample_rate: float) -> float:
     """Frequency in Hz of bin k: k*Fs/N below the midpoint, negative above."""
+    n, k = _as_count("bin count", n, least=-math.inf), _as_count("bin", k, least=-math.inf)
     if n >= 1 and not 0 <= k < n:  # an empty n is reported as EmptyBins
         raise IndexOutOfRange(f"bin {k} outside 0..{n - 1}")
     return float(_bin_frequency(k, n, sample_rate))
@@ -351,6 +352,7 @@ def bin_to_frequency(k: int, n: int, sample_rate: float) -> float:
 
 def bin_frequencies(n: int, sample_rate: float) -> np.ndarray:
     """Frequencies in Hz of bins 0..n-1, each equal to ``bin_to_frequency``."""
+    n = _as_count("bin count", n, least=-math.inf)
     return _bin_frequency(np.arange(n), n, sample_rate)
 
 
@@ -385,9 +387,8 @@ class QuadratureSpec:
         if not (-math.inf < self.lower < self.upper and self.upper - self.lower < math.inf):
             raise NonPositiveInterval(
                 f"need finite lower < upper, a finite width apart: [{self.lower}, {self.upper}]")
-        if not isinstance(self.max_subdivisions, Integral) or self.max_subdivisions < 1:
-            raise InvalidParameter(
-                f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
+        object.__setattr__(self, "max_subdivisions",
+                           _as_count("max_subdivisions", self.max_subdivisions))
         if not 0.0 < self.abs_tolerance < math.inf:
             raise InvalidParameter(f"abs_tolerance must be finite and > 0: {self.abs_tolerance!r}")
         if not 0.0 <= self.damping < math.inf:

@@ -141,9 +141,10 @@ def test_errors_subclass_builtin_families():
 
 def test_bad_arguments_raise_invalid_parameter():
     from fourierkit import (InvalidParameter, QuadratureSpec, SeriesCoefficients,
-                            dirichlet_closed, dirichlet_sum, dtft_eval, half_series_coefficients,
-                            half_transform, make_comb, quad_ft, sample, sample_spectrum,
-                            series_coefficients, sinc_reconstruct, stft)
+                            bin_frequencies, bin_to_frequency, dirichlet_closed, dirichlet_sum,
+                            dtft_eval, half_series_coefficients, half_transform, make_comb,
+                            quad_ft, sample, sample_spectrum, series_coefficients,
+                            sinc_reconstruct, stft)
     f = lambda x: 1.0  # noqa: E731
     window = QuadratureSpec(0.0, 1.0)
     calls = [
@@ -192,6 +193,21 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: sample_spectrum(f, 1.0, 10 ** 20),
         lambda: sample_spectrum(f, 1.0, 10 ** 400),
         lambda: sinc_reconstruct(Waveform([1.0], 1.0), 10 ** 400, 4),
+        lambda: stft(Waveform(np.ones(8), 1.0), 0.0, 2.5, 4),
+        lambda: stft(Waveform(np.ones(8), 1.0), 0.0, 1, 4.0),
+        lambda: stft(Waveform(np.ones(8), 1.0), 0.0, math.nan, 4),
+        lambda: sinc_reconstruct(Waveform(np.ones(4), 1.0), 0.5, 2.5),
+        lambda: sinc_reconstruct(Waveform(np.ones(4), 1.0), 0.5, math.nan),
+        lambda: series_coefficients(f, 1.0, 2.0),
+        lambda: half_series_coefficients(f, 1.0, "cosine", 2.5),
+        lambda: dirichlet_sum(2.5, 0.3),
+        lambda: dirichlet_closed(2.5, 0.3),
+        lambda: dirichlet_sum(3.0, 0.3),
+        lambda: dirichlet_closed(3.0, 0.3),
+        lambda: bin_frequencies(2.5, 1.0),
+        lambda: bin_to_frequency(1.5, 4, 1.0),
+        lambda: bin_to_frequency(1, 2.5, 1.0),
+        lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=10 ** 18),
         lambda: TFDistribution(np.zeros((1, 1)), [0.0], [0.0], kind="scalogram"),
         lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=0),
         lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=math.nan),
@@ -215,6 +231,24 @@ def test_bad_arguments_raise_invalid_parameter():
             call()
         assert isinstance(info.value, FourierKitError)
         assert isinstance(info.value, ValueError)
+
+
+def test_numpy_integer_counts_give_the_bits_of_int_counts():
+    from fourierkit import dirichlet_sum, series_coefficients, sinc_reconstruct, stft
+    w = sample(lambda t: math.cos(0.7 * t) + 0.25 * math.sin(2.3 * t), 0.5, 40)
+    thetas = np.linspace(-4.0, 4.0, 33)
+    calls = [
+        lambda c: stft(w, 1.5, c(3), c(8)).values,
+        lambda c: series_coefficients(lambda t: t * t, 1.0, c(5)).cosine,
+        lambda c: series_coefficients(lambda t: t * t, 1.0, c(5)).sine,
+        lambda c: sinc_reconstruct(w, 7.3, c(6)),
+        lambda c: dirichlet_sum(c(4), thetas),
+        lambda c: sample(lambda t: math.exp(-t), 0.25, c(17)).samples,
+    ]
+    for call in calls:
+        want = np.asarray(call(int))
+        for kind in (np.int64, np.int32, np.uint16):
+            assert np.asarray(call(kind)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("lower, upper", [(-math.inf, 1.0), (0.0, math.inf),

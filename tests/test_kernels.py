@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +133,32 @@ def test_make_comb_validation():
         make_comb(0.0, 4)
     with pytest.raises(ValueError):
         make_comb(1.0, 0)
+
+
+# Run in a child whose address space is capped, so that a comb built point by
+# point in Python objects fails at the cap instead of growing without end.
+_HUGE_COMB = """
+import resource
+cap = 512 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from fourierkit import make_comb
+try:
+    make_comb(1.0, 10 ** 17)
+except MemoryError:
+    print("MemoryError", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs RLIMIT_AS, and ru_maxrss in KiB")
+def test_make_comb_of_a_huge_count_fails_before_it_grows():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _HUGE_COMB], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    error, peak_kib = proc.stdout.split()
+    assert error == "MemoryError"
+    assert int(peak_kib) < 200 << 10  # about 30 MiB after imports; the cap is 512
 
 
 def test_sift_is_weighted_sample_sum():

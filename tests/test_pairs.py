@@ -37,8 +37,9 @@ def _git(repo, *args):
                    check=True, capture_output=True)
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_pairs_alternate_and_summarize_the_parent_against_the_working_tree(tmp_path):
+def _committed_repo(tmp_path):
+    """A repository whose one commit holds the fake benchmark with SIDE "parent",
+    an empty scratch directory, and the path of the run log."""
     repo, scratch, log = tmp_path / "repo", tmp_path / "scratch", tmp_path / "log"
     (repo / "perfbench").mkdir(parents=True)
     scratch.mkdir()
@@ -48,6 +49,12 @@ def test_pairs_alternate_and_summarize_the_parent_against_the_working_tree(tmp_p
     _git(repo, "init", "-q")
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", "parent")
+    return repo, scratch, log
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_pairs_alternate_and_summarize_the_parent_against_the_working_tree(tmp_path):
+    repo, scratch, log = _committed_repo(tmp_path)
     (repo / "SIDE").write_text("change\n")  # uncommitted: the change is the working tree
 
     subprocess.run([sys.executable, str(PAIRS), "--pr", "7", "--pairs", "4", "--seconds", "1",
@@ -78,3 +85,18 @@ def test_pairs_alternate_and_summarize_the_parent_against_the_working_tree(tmp_p
     listed = subprocess.run(["git", "-C", str(repo), "worktree", "list"],
                             capture_output=True, text=True, check=True).stdout
     assert len(listed.splitlines()) == 1
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_pairs_refuse_a_clean_tree_against_its_own_head(tmp_path):
+    repo, scratch, log = _committed_repo(tmp_path)
+
+    proc = subprocess.run([sys.executable, str(PAIRS), "--pr", "7", "--pairs", "2",
+                           "--seconds", "1", "--repo", str(repo), "--scratch", str(scratch)],
+                          env={**os.environ, "PAIRS_LOG": str(log)}, capture_output=True,
+                          text=True)
+
+    assert proc.returncode != 0
+    assert "working tree is clean" in proc.stderr
+    assert not list(repo.glob("BENCH_*.json"))
+    assert not log.exists() and not any(scratch.iterdir())

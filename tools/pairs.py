@@ -4,12 +4,13 @@
                            [--workload W ...] [--seconds 25] [--scratch DIR]
 
 The change is the repository's working tree, uncommitted edits included; the
-parent (default HEAD, so run it before committing, or pass --parent HEAD~1)
-is checked out with ``git worktree add`` under a fresh directory inside
---scratch and removed again at exit.  For each workload, pair i runs both
-trees' own ``perfbench/run.py --trace 0`` on seed first-seed + i, the parent
-first in odd pairs (1, 3, ...) and the change first in even ones.  Runs go
-one at a time; nothing is pinned and no cache is dropped.
+parent (default HEAD, so run it before committing, or pass --parent HEAD~1;
+a clean tree is never compared with its own HEAD) is checked out with
+``git worktree add`` under a fresh directory inside --scratch and removed
+again at exit.  For each workload, pair i runs both trees' own
+``perfbench/run.py --trace 0`` on seed first-seed + i, the parent first in
+odd pairs (1, 3, ...) and the change first in even ones.  Runs go one at a
+time; nothing is pinned and no cache is dropped.
 
 BENCH_<pr>.json, at the root of the working tree, holds per workload the
 seeds, every run's ``correct`` and, per end-to-end metric, the parent's
@@ -123,6 +124,9 @@ def main(argv: list[str] | None = None) -> int:
     parent_rev = git(repo, "rev-parse", "--verify", f"{args.parent}^{{commit}}")
     dirty = bool(git(repo, "status", "--porcelain"))
     head = git(repo, "rev-parse", "HEAD")
+    if parent_rev == head and not dirty:
+        parser.error(f"--parent {args.parent} is HEAD and the working tree is clean, so both "
+                     f"sides would be the same tree; pass the parent's revision")
 
     holder = Path(tempfile.mkdtemp(prefix="pairs-", dir=Path(args.scratch).resolve()))
     parent_tree = holder / "parent"
