@@ -18,6 +18,7 @@ from .core import (
     LengthMismatch,
     NonFiniteSample,
     FREQUENCY,
+    REAL,
     Waveform,
     _as_count,
     _as_float,
@@ -101,14 +102,25 @@ def window_rect(w: Waveform, width: float, center: float) -> Waveform:
     return Waveform(w.samples * gains, w.sample_interval, w.start_time, tag=w.tag)
 
 
+# The offsets d = K, K - 1, ..., -K of a sinc window from its nearest sample and
+# (-1)^d / pi, built once: a window of up to K taps a side is a slice of them.
+_SINC_TAPS = 1024
+_SINC_D = np.arange(_SINC_TAPS, -_SINC_TAPS - 1, -1, dtype=float)
+_SINC_SIGN = np.where(_SINC_D % 2 == 0.0, 1.0 / np.pi, -1.0 / np.pi)
+_SINC_D.setflags(write=False)
+_SINC_SIGN.setflags(write=False)
+
+
 def sinc_reconstruct(w: Waveform, t: float, taps: int) -> complex:
     """Band-limited interpolant sum_n x[n] sinc((t - t_n)/T), truncated.
 
     ``taps`` samples are used on each side of t (clipped at the record
     edges); there is no taper, so the truncation error decays like the
-    tail of the sinc series it cuts off.  At a sample instant the value is
-    exact regardless of taps.  A call computes one window of at most
-    2 * taps kernel values, so its cost does not grow with the record.
+    tail of the sinc series it cuts off.  At a sample instant inside the
+    record the value is that sample, exactly, regardless of taps.  With t
+    at offset d + f samples from sample n, d an integer and |f| <= 1/2,
+    sin(pi (d + f)) = (-1)^d sin(pi f), so a call takes one sine and at
+    most 2 * taps divisions; its cost does not grow with the record.
     Raises InvalidParameter unless taps is an integer >= 1 and both t and
     its offset (t - t0)/T in samples are finite.
     """
@@ -119,22 +131,30 @@ def sinc_reconstruct(w: Waveform, t: float, taps: int) -> complex:
     pos = (t - w.start_time) / w.sample_interval
     if not math.isfinite(pos):
         raise InvalidParameter(f"t {t!r} is an overflowing number of samples from start_time")
+    x = w.samples
     anchor = math.floor(pos)
     lo = max(0, anchor - taps + 1)
-    hi = min(len(w) - 1, anchor + taps)
+    hi = min(x.size - 1, anchor + taps)
     if hi < lo:
         return 0.0 + 0.0j
-    # sinc(pos - n) in place; the one zero argument, at n == pos, takes sinc(0) = 1
-    # without a 0/0
-    at = anchor - lo if pos == anchor and lo <= anchor <= hi else None
-    pu = np.pi * (pos - np.arange(lo, hi + 1))
-    if at is not None:
-        pu[at] = np.pi
-    s = np.sin(pu)
-    s /= pu
-    if at is not None:
-        s[at] = 1.0
-    return complex(np.dot(w.samples[lo:hi + 1], s))
+    near = round(pos)
+    f = pos - near  # exact, and -1/2 <= f <= 1/2
+    # at a sample instant every other term is sinc of a nonzero integer, 0; within
+    # 2**-60 samples of one they are below 2**-60 of their samples (and 1/f may overflow)
+    if abs(f) < 2.0 ** -60:
+        return complex(x[near]) if 0 <= near < x.size else 0.0 + 0.0j
+    # sinc(pos - n) = (-1)^d sin(pi f) / (pi (d + f)) with d = near - n
+    top, count = near - lo, hi - lo + 1
+    at = _SINC_TAPS - top
+    if 0 <= at and at + count <= _SINC_D.size:
+        d, sign = _SINC_D[at:at + count], _SINC_SIGN[at:at + count]
+    else:
+        d = np.arange(top, top - count, -1, dtype=float)
+        sign = np.where(d % 2 == 0.0, 1.0 / np.pi, -1.0 / np.pi)
+    s = d + f
+    np.divide(sign, s, out=s)
+    x = x[lo:hi + 1]
+    return complex(s.dot(x.real if w.tag == REAL else x) * math.sin(math.pi * f))
 
 
 def sample_spectrum(spectrum_map: Callable[[float], complex], bin_spacing: float,

@@ -27,6 +27,10 @@ from .core import (
 )
 from .transforms import _fft_raw, _ifft_raw, bin_frequencies
 
+# Padded points of one block of wvd lag rows: small enough that the block and
+# its transform's buffers stay in cache.
+_WVD_BLOCK_POINTS = 1 << 14
+
 
 def analytic_signal(w: Waveform) -> Waveform:
     """One-sided counterpart of a real waveform.
@@ -136,11 +140,18 @@ def wvd(w: Waveform) -> TFDistribution:
     reach = lags // 2 - 1
     centers = np.arange(reach, n - reach)
     m = np.arange(0, reach + 1)
-    prod = psi[centers[:, None] + m] * np.conj(psi[centers[:, None] - m])
-    lagged = np.zeros((centers.size, lags), dtype=np.complex128)
-    lagged[:, m] = prod
-    lagged[:, lags - m[1:]] = np.conj(prod[:, 1:])
-    rows = _fft_raw(lagged).real.copy()  # a view would keep the complex rows alive
+    rows = np.empty((centers.size, lags))
+    # one block of lag rows, reused: lags 0..reach, their mirrors at lags - reach..lags - 1,
+    # and the zeros between them, which no block writes
+    step = max(1, _WVD_BLOCK_POINTS // lags)
+    lagged = np.zeros((min(step, centers.size), lags), dtype=np.complex128)
+    for lo in range(0, centers.size, step):
+        c = centers[lo:lo + step, None]
+        block = lagged[:c.shape[0]]
+        prod = block[:, :reach + 1]
+        np.multiply(psi[c + m], np.conj(psi[c - m]), out=prod)
+        block[:, lags - reach:] = np.conj(prod[:, :0:-1])
+        rows[lo:lo + c.shape[0]] = _fft_raw(block).real
     times = w.start_time + centers * w.sample_interval
     freqs = np.arange(lags) / (2.0 * lags * w.sample_interval)
     return TFDistribution(rows, times, freqs, kind="wvd-real")

@@ -58,8 +58,8 @@ SINE = "sine"
 _BLOCK_ENTRIES = 2_000_000  # entries per block of a direct sum's kernel matrix
 
 
-def _dft_raw(x: np.ndarray, sign: float = -1.0) -> np.ndarray:
-    """Direct summation sum_n x[n] exp(sign * i 2 pi k n / N).
+def _dft_raw(x: np.ndarray) -> np.ndarray:
+    """Direct summation sum_n x[n] exp(-i 2 pi k n / N).
 
     The kernel gathers from one table of the N roots of unity at (k*n) mod N,
     an exact integer index, so conjugate bins agree to machine precision even
@@ -70,7 +70,7 @@ def _dft_raw(x: np.ndarray, sign: float = -1.0) -> np.ndarray:
     n = x.size
     out = np.empty(n, dtype=np.complex128)
     idx = np.arange(n, dtype=np.int64)
-    roots = np.exp((sign * 2j * np.pi / n) * idx)
+    roots = np.exp((-2j * np.pi / n) * idx)
     chunk = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, n, chunk):
         ang = idx[lo:lo + chunk, None] * idx
@@ -82,17 +82,17 @@ def _dft_raw(x: np.ndarray, sign: float = -1.0) -> np.ndarray:
 def dft(w: Waveform) -> Spectrum:
     """Forward discrete transform by direct summation, no scaling."""
     n = len(w)
-    return Spectrum(_dft_raw(w.samples, -1.0), bin_spacing=1.0 / (n * w.sample_interval))
+    return Spectrum(_dft_raw(w.samples), bin_spacing=1.0 / (n * w.sample_interval))
 
 
 def idft(s: Spectrum) -> Waveform:
-    """Inverse discrete transform by direct summation, scaled by 1/N.
+    """Inverse discrete transform by direct summation, scaled by 1/N: the
+    forward sum read backwards, at -k mod N.
 
     The spectrum carries no time origin, so the waveform starts at t = 0.
     """
     n = len(s)
-    samples = _dft_raw(s.bins, +1.0) / n
-    return Waveform(samples, sample_interval=1.0 / (n * s.bin_spacing))
+    return Waveform(_backwards(_dft_raw(s.bins)), sample_interval=1.0 / (n * s.bin_spacing))
 
 
 # (prime p, power k) of the full radices p^k = 16, 9, 25 and 7 of the stage
@@ -299,15 +299,19 @@ def _fft_raw(x: np.ndarray) -> np.ndarray:
     return _by_chunks(_fft_smooth, x, n) if _plan(n) else _bluestein(x)
 
 
-def _ifft_raw(x: np.ndarray) -> np.ndarray:
-    """Inverse transform of the last axis of a (..., n) array: the forward
-    transform F read backwards, F at -k mod n, and divided by n."""
-    spec = _fft_raw(x)
+def _backwards(spec: np.ndarray) -> np.ndarray:
+    """A forward transform F of the last axis read backwards, F at -k mod n,
+    and divided by n, into a fresh array: the inverse transform."""
     n = spec.shape[-1]
     out = np.empty_like(spec)
     np.divide(spec[..., :1], n, out=out[..., :1])
     np.divide(spec[..., :0:-1], n, out=out[..., 1:])
     return out
+
+
+def _ifft_raw(x: np.ndarray) -> np.ndarray:
+    """Inverse transform of the last axis of a (..., n) array."""
+    return _backwards(_fft_raw(x))
 
 
 def fft(w: Waveform) -> Spectrum:

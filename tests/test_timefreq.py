@@ -1,6 +1,7 @@
 """Analytic signal, Gabor atoms, short-time spectra, distribution rows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,42 @@ def test_wvd_equals_row_by_row_reference(n):
     cplx = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), 0.5)
     for w, psi in ((real, analytic_signal(real).samples), (cplx, cplx.samples)):
         assert np.array_equal(wvd(w).values, _wvd_rows_reference(psi))
+
+
+def _wvd_whole_matrix(psi):
+    """Every lag row built at once and transformed in one call."""
+    n = psi.size
+    lags = n // 2
+    reach = lags // 2 - 1
+    centers = np.arange(reach, n - reach)
+    m = np.arange(0, reach + 1)
+    prod = psi[centers[:, None] + m] * np.conj(psi[centers[:, None] - m])
+    lagged = np.zeros((centers.size, lags), dtype=np.complex128)
+    lagged[:, m] = prod
+    lagged[:, lags - m[1:]] = np.conj(prod[:, 1:])
+    return _fft_raw(lagged).real
+
+
+# 2 * 1009 has a prime lag length, so its rows take the chirp path
+@pytest.mark.parametrize("n", [6, 8, 130, 2048, 2 * 1009])
+def test_wvd_in_row_blocks_keeps_the_bits_of_the_whole_matrix(n):
+    rng = np.random.default_rng(n)
+    real = Waveform(rng.standard_normal(n), 0.5)
+    cplx = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), 0.5)
+    for w, psi in ((real, analytic_signal(real).samples), (cplx, cplx.samples)):
+        assert np.array_equal(wvd(w).values, _wvd_whole_matrix(psi))
+
+
+def test_wvd_peaks_near_its_output():
+    w = Waveform(np.random.default_rng(4).standard_normal(4096), 0.5)
+    tracemalloc.start()
+    try:
+        values = wvd(w).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-matrix form peaked at six times the output
+    assert peak <= 1.25 * values.nbytes + 4 * 2 ** 20
 
 
 def test_wvd_tone_ridge_and_axis():
