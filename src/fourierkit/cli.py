@@ -15,6 +15,7 @@ import contextlib
 import csv
 import math
 import os
+import re
 import shutil
 import sys
 import wave
@@ -440,6 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
     p.set_defaults(run=_cmd_atoms)
 
+    # -1e-3 is a value, as in Python 3.13's argparse; 3.10-3.12 read it as a flag
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -1,9 +1,8 @@
 """Numeric defaults and the optional key=value configuration file.
 
-Discrete identities (transform round trips, Parseval, convolution theorem)
-are held to DISCRETE_TOLERANCE; numerically integrated quantities default to
-QUADRATURE_TOLERANCE.  The CLI reads overrides from the file named by the
-FOURIERKIT_CONFIG environment variable; command-line flags win over the file.
+Numerically integrated quantities default to QUADRATURE_TOLERANCE.  The CLI
+reads overrides from the file named by the FOURIERKIT_CONFIG environment
+variable; command-line flags win over the file.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import os
 
 from .core import ParseError
 
-DISCRETE_TOLERANCE = 1e-9
 QUADRATURE_TOLERANCE = 1e-6
 MAX_SUBDIVISIONS = 100_000
 

@@ -1,7 +1,7 @@
 """Shared value types: waveforms, spectra, impulse trains, piecewise maps,
 Gabor atoms, and time-frequency grids, plus the helpers the other modules
-share: map evaluation, scalar-or-array results, the interval check, the
-float conversion of scalar arguments and the count check.
+share: map evaluation, scalar-or-array results, and the two argument rules,
+``_as_float`` and ``_as_count``, that every scalar float and count goes through once.
 
 Every type here is an immutable value object.  Operations in the rest of the
 package take these values and return new ones; nothing is mutated in place,
@@ -111,21 +111,29 @@ def _match(x, out: np.ndarray, kind: type):
 
 
 def _gaussian_width_ok(alpha: float) -> bool:
-    """Whether alpha > 0 with both alpha^2 and (pi/alpha)^2 finite, the rates
-    of a Gaussian envelope and of its spectrum."""
-    alpha = float(alpha)
+    """Whether the float alpha is > 0 with both alpha^2 and (pi/alpha)^2 finite,
+    the rates of a Gaussian envelope and of its spectrum."""
     widest = max(alpha, math.pi / alpha) if alpha > 0.0 else math.nan
     return widest * widest < math.inf
 
 
-def _as_float(name: str, value: float, error: type[FourierKitError] = InvalidParameter) -> float:
-    """float(value); an integer too large for a float raises ``error`` naming
-    ``name`` instead of a bare OverflowError."""
+def _as_float(name: str, value: float, *span: float,
+              error: type[FourierKitError] = InvalidParameter, above: float = -math.inf) -> float:
+    """float(value), once; ``error`` naming ``name`` unless it is finite, > ``above``, and
+    finite times the ``span`` factors, left to right.  A huge integer fails like an infinite one."""
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise error(f"{name} is an integer too large for a float") from None
+    if not above < x < math.inf:
+        raise error(f"{name} must be in ({above:g}, inf), got {value!r}")
+    if span and not math.isfinite(math.prod(span, start=x)):
+        raise error(f"{name} {value!r} times {' * '.join(map(repr, span))} is not finite")
+    return x
 
+
+# _as_float's bound and error for a spacing, interval, rate, period, extent or width.
+_INTERVAL = {"error": NonPositiveInterval, "above": 0.0}
 
 _MAX_COUNT = int(np.iinfo(np.intp).max) // 16  # complex128 values whose byte count fits an intp
 
@@ -143,21 +151,10 @@ def _as_count(name: str, value: int, width: int = 1, least: float = 1) -> int:
     return count
 
 
-def _require_positive(name: str, value: float, count: int = 1) -> None:
-    """Raise NonPositiveInterval unless 0 < value < inf and the span
-    ``count * value`` of that spacing over ``count`` points is finite."""
-    if not 0.0 < value < np.inf:
-        raise NonPositiveInterval(f"{name} must be finite and > 0, got {value!r}")
-    if float(count) * _as_float(name, value, NonPositiveInterval) == math.inf:
-        raise NonPositiveInterval(f"{name} {value!r} over {count} points spans an infinite range")
-
-
 def _require_finite_times(start_time: float, sample_interval: float, count: int) -> None:
-    """Raise InvalidParameter unless the sample times start_time + n * sample_interval,
-    n = 0..count-1, are finite.  They rise with n, so the last one decides, and
-    it is not finite either when start_time is not."""
-    last = _as_float("start_time", start_time) + sample_interval * (count - 1)
-    if not math.isfinite(last):
+    """Raise InvalidParameter unless the last sample time start_time + (count - 1) *
+    sample_interval of a finite start_time is finite: the times rise with n, so it decides."""
+    if not math.isfinite(start_time + sample_interval * (count - 1)):
         raise InvalidParameter(f"start_time must give finite sample times, got {start_time!r} "
                                f"for {count} samples at interval {sample_interval!r}")
 
@@ -196,20 +193,18 @@ class Waveform:
             object.__setattr__(self, "tag", REAL if real else COMPLEX)
         elif self.tag == REAL and not real:
             raise RealTagViolation("waveform tagged real has nonzero imaginary parts")
-        interval = _as_float("sample_interval", self.sample_interval, NonPositiveInterval)
-        start = _as_float("start_time", self.start_time)
-        _require_positive("sample_interval", interval, given.size)
+        object.__setattr__(self, "sample_interval", _as_float(
+            "sample_interval", self.sample_interval, given.size, **_INTERVAL))
         if given.size == 0:
             raise EmptySamples("waveform has no samples")
         if self.tag not in (REAL, COMPLEX):
             raise InvalidParameter(f"unknown tag {self.tag!r}")
-        _require_finite_times(start, interval, given.size)
+        object.__setattr__(self, "start_time", _as_float("start_time", self.start_time))
+        _require_finite_times(self.start_time, self.sample_interval, given.size)
         arr = given.reshape(-1)
         if self.tag == REAL and (given is self.samples or not given.flags.owndata):
             arr = arr.copy()  # the caller's own memory: it could still write to it
         object.__setattr__(self, "samples", _frozen(arr))
-        object.__setattr__(self, "sample_interval", interval)
-        object.__setattr__(self, "start_time", start)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -254,11 +249,9 @@ class Spectrum:
         arr = np.asarray(self.bins, dtype=np.complex128).reshape(-1)
         if arr.size == 0:
             raise EmptyBins("spectrum has no bins")
-        spacing = _as_float("bin_spacing", self.bin_spacing, NonPositiveInterval)
-        _require_positive("bin_spacing", spacing, arr.size)
+        spacing = _as_float("bin_spacing", self.bin_spacing, arr.size, **_INTERVAL)
         if 1.0 / spacing == math.inf:
-            raise NonPositiveInterval(f"bin_spacing {spacing!r} gives an infinite record "
-                                      f"length 1 / bin_spacing")
+            raise NonPositiveInterval(f"bin_spacing {spacing!r} gives an infinite record length")
         object.__setattr__(self, "bins", _frozen(arr))
         object.__setattr__(self, "bin_spacing", spacing)
 
@@ -345,8 +338,8 @@ def segmented_eval(s: SegmentedFunction, x: float) -> float:
 class GaborAtom:
     """Gaussian-envelope tone: exp(-alpha^2 (t-t0)^2) * cis(2 pi f0 t + phase).
 
-    Built only with alpha > 0 and both alpha^2 and (pi/alpha)^2 finite, the
-    rates of the envelope and of its spectrum (else InvalidParameter).
+    Every field is stored as a finite float, and alpha > 0 with alpha^2 and
+    (pi/alpha)^2, the rates of envelope and spectrum, finite (else InvalidParameter).
     """
 
     t0: float
@@ -355,6 +348,8 @@ class GaborAtom:
     phase: float = 0.0
 
     def __post_init__(self):
+        for name in ("t0", "f0", "alpha", "phase"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not _gaussian_width_ok(self.alpha):
             raise InvalidParameter(
                 f"alpha must be > 0 with alpha^2 and (pi/alpha)^2 finite, got {self.alpha!r}")

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ImpulseTrain, TIME, _as_count, _eval_map, _match, _require_positive
+from .core import ImpulseTrain, TIME, _INTERVAL, _as_count, _as_float, _eval_map, _match
 
 # Below this, sin(theta/2) is treated as zero and the kernel's limit is used.
 _SINGULAR = 1e-12
@@ -48,7 +48,7 @@ def dirichlet_closed(i: int, theta) -> float:
 
 def rect(t, width: float = 1.0):
     """Rectangle of unit height: 1 inside (-w/2, w/2), 1/2 at the edges."""
-    _require_positive("width", width)
+    width = _as_float("width", width, **_INTERVAL)
     at = np.abs(np.asarray(t, dtype=float))
     half = width / 2.0
     out = np.where(at < half, 1.0, np.where(at == half, 0.5, 0.0))
@@ -65,7 +65,7 @@ def sinc(u):
 
 def sinc_scaled(u, width: float):
     """Transform of a width-`width` rectangle: width * sinc(width * u)."""
-    _require_positive("width", width)
+    width = _as_float("width", width, **_INTERVAL)
     return width * sinc(np.multiply(u, width))
 
 
@@ -78,8 +78,8 @@ def step(x):
 
 def make_comb(period: float, count: int, weight: complex = 1.0, domain: str = TIME) -> ImpulseTrain:
     """Equally weighted impulses at 0, period, ..., (count-1)*period."""
-    _require_positive("period", period)
-    locations = np.arange(_as_count("count", count)) * period  # fails at once for a huge count
+    count = _as_count("count", count)  # fails at once for a huge count
+    locations = _as_float("period", period, count - 1, **_INTERVAL) * np.arange(count)
     return ImpulseTrain(tuple((loc, weight) for loc in locations.tolist()), domain=domain)
 
 

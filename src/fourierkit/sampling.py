@@ -20,11 +20,11 @@ from .core import (
     FREQUENCY,
     REAL,
     Waveform,
+    _INTERVAL,
     _as_count,
     _as_float,
     _eval_map,
     _require_finite_times,
-    _require_positive,
 )
 from .kernels import rect
 from .transforms import _fft_raw
@@ -50,19 +50,20 @@ def sample(map: Callable[[float], complex], sample_interval: float, count: int,
     NonFiniteSample if the map produces NaN or infinity.
     """
     count = _as_count("count", count)
-    _require_positive("sample_interval", sample_interval, count)
-    _require_finite_times(start_time, sample_interval, count)
-    ts = start_time + sample_interval * np.arange(count)
+    interval = _as_float("sample_interval", sample_interval, count, **_INTERVAL)
+    start = _as_float("start_time", start_time)
+    _require_finite_times(start, interval, count)
+    ts = start + interval * np.arange(count)
     vals = _eval_map(map, ts, complex)
     _require_finite(vals, ts, "t")
-    return Waveform(vals, sample_interval, start_time)
+    return Waveform(vals, interval, start)
 
 
 def alias_frequency(f: float, sample_rate: float) -> float:
-    """Fold f into the principal band [-Fs/2, Fs/2), congruent mod Fs."""
-    _require_positive("sample_rate", sample_rate)
+    """Fold a finite f into the principal band [-Fs/2, Fs/2), congruent mod Fs."""
+    sample_rate = _as_float("sample_rate", sample_rate, **_INTERVAL)
     half = 0.5 * sample_rate
-    return (float(f) + half) % sample_rate - half
+    return (_as_float("f", f) + half) % sample_rate - half
 
 
 def convolve_linear(x: Sequence[complex], y: Sequence[complex]) -> np.ndarray:
@@ -93,12 +94,12 @@ def convolve_circular(x: Sequence[complex], y: Sequence[complex]) -> np.ndarray:
 
 
 def window_rect(w: Waveform, width: float, center: float) -> Waveform:
-    """Multiply by a rectangle of the given width centered at ``center``.
+    """Multiply by a rectangle of the given width centered at a finite ``center``.
 
     Samples landing exactly on a window edge are halved, matching the
     rectangle kernel's jump convention.
     """
-    gains = rect(w.times - center, width)
+    gains = rect(w.times - _as_float("center", center), width)
     return Waveform(w.samples * gains, w.sample_interval, w.start_time, tag=w.tag)
 
 
@@ -126,8 +127,6 @@ def sinc_reconstruct(w: Waveform, t: float, taps: int) -> complex:
     """
     taps = _as_count("taps", taps)
     t = _as_float("t", t)
-    if not math.isfinite(t):
-        raise InvalidParameter(f"t must be finite, got {t!r}")
     pos = (t - w.start_time) / w.sample_interval
     if not math.isfinite(pos):
         raise InvalidParameter(f"t {t!r} is an overflowing number of samples from start_time")
@@ -171,7 +170,7 @@ def sample_spectrum(spectrum_map: Callable[[float], complex], bin_spacing: float
     InvalidParameter unless count is an integer >= 1 that numpy can size the
     two periods by, and NonFiniteSample if the map produces NaN or infinity.
     """
-    _require_positive("bin_spacing", bin_spacing)
+    bin_spacing = _as_float("bin_spacing", bin_spacing, **_INTERVAL)
     count = _as_count("count", count, 8)  # two periods of 4 * count samples
     ks = np.arange(-(count // 2), count - count // 2)
     freqs = ks * bin_spacing

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import InvalidParameter, _as_count, _eval_map, _frozen, _match, _require_positive
+from .core import InvalidParameter, _INTERVAL, _as_count, _as_float, _eval_map, _frozen, _match
 from .transforms import QuadratureSpec, _BLOCK_ENTRIES, _fft_raw
 
 
@@ -42,11 +42,10 @@ class SeriesCoefficients:
         sin = np.asarray(self.sine, dtype=float).reshape(-1)
         if cos.size != sin.size:
             raise InvalidParameter("cosine and sine coefficient counts differ")
-        _require_positive("period", self.period)
+        object.__setattr__(self, "period", _as_float("period", self.period, **_INTERVAL))
         object.__setattr__(self, "cosine", _frozen(cos))
         object.__setattr__(self, "sine", _frozen(sin))
         object.__setattr__(self, "a0", float(self.a0))
-        object.__setattr__(self, "period", float(self.period))
 
     @property
     def harmonics(self) -> int:
@@ -62,7 +61,7 @@ class ComplexSeriesCoefficients:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", dict(self.terms))
-        _require_positive("period", self.period)
+        object.__setattr__(self, "period", _as_float("period", self.period, **_INTERVAL))
 
     @property
     def harmonics(self) -> int:
@@ -126,7 +125,7 @@ def series_coefficients(map: Callable[[float], float], period: float, k: int,
     would be exceeded; unmet coefficients are flagged in ``converged``
     rather than raised.
     """
-    _require_positive("period", period)
+    period = _as_float("period", period, **_INTERVAL)
     v, flags = _refine(map, period, k, spec, True, lambda c: np.r_[c.real, -c.imag[1:]])
     return SeriesCoefficients(v[0], v[1:k + 1], v[k + 1:], period, flags)
 
@@ -142,7 +141,7 @@ def half_series_coefficients(map: Callable[[float], float], extent: float, kind:
     """
     if kind not in ("cosine", "sine"):
         raise InvalidParameter(f"kind must be 'cosine' or 'sine', got {kind!r}")
-    _require_positive("extent", extent)
+    extent = _as_float("extent", extent, **_INTERVAL)
     if kind == "cosine":
         v, flags = _refine(map, extent, k, spec, False, lambda c: c.real)
         return SeriesCoefficients(v[0], v[1:], np.zeros(k), 2.0 * extent, flags)

@@ -22,6 +22,7 @@ from .core import (
     Waveform,
     ZeroEnergy,
     _as_count,
+    _as_float,
     _gaussian_width_ok,
     _match,
 )
@@ -92,6 +93,7 @@ def stft(w: Waveform, window_alpha: float, hop: int, frame: int) -> TFDistributi
         TFDistribution of kind "stft-complex": one row per frame position,
         row time at the frame center, columns in transform bin order.
     """
+    window_alpha = _as_float("window_alpha", window_alpha)
     if not (window_alpha == 0.0 or _gaussian_width_ok(window_alpha)):
         raise InvalidParameter(f"window_alpha must be 0, or > 0 with alpha^2 and (pi/alpha)^2 "
                                f"finite, got {window_alpha!r}")

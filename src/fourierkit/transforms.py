@@ -40,9 +40,10 @@ from .core import (
     Spectrum,
     ToleranceNotReached,
     Waveform,
+    _INTERVAL,
     _as_count,
+    _as_float,
     _eval_map,
-    _require_positive,
 )
 
 FORWARD = "forward"
@@ -330,10 +331,9 @@ def dtft_eval(w: Waveform, f: float) -> complex:
     """Evaluate sum_n x[n] exp(-i 2 pi f n T) at one frequency.
 
     This is the sample-sum transform of the sequence; it is periodic in f
-    with period 1/T.  The waveform's start time does not enter.
+    with period 1/T.  The start time does not enter; 2 pi f T n must be finite.
     """
-    if not math.isfinite(2.0 * math.pi * f * w.sample_interval * (len(w) - 1)):
-        raise InvalidParameter(f"phase 2 pi f T n must be finite, got f = {f!r}")
+    f = _as_float("f", f, 2.0 * math.pi, w.sample_interval, len(w) - 1)
     n = np.arange(len(w))
     return complex(np.dot(w.samples, np.exp(-2j * np.pi * f * w.sample_interval * n)))
 
@@ -342,7 +342,7 @@ def _bin_frequency(k, n: int, sample_rate: float):
     """Frequency in Hz of bin k (an int or int array): k*Fs/N below the midpoint, negative above."""
     if n < 1:
         raise EmptyBins(f"bin count must be >= 1, got {n}")
-    _require_positive("sample_rate", sample_rate)
+    sample_rate = _as_float("sample_rate", sample_rate, **_INTERVAL)
     return np.where(k < (n + 1) // 2, k, k - n) * sample_rate / n
 
 
@@ -378,7 +378,8 @@ class QuadratureSpec:
 
     ``max_subdivisions`` caps the number of interval splits; ``damping``
     multiplies the integrand by exp(-damping * |t|) to tame slowly decaying
-    oscillatory tails.  The window and its width must be finite.
+    oscillatory tails.  Float fields are stored as floats; the window and its
+    width must be finite.
     """
 
     lower: float
@@ -388,15 +389,18 @@ class QuadratureSpec:
     damping: float = 0.0
 
     def __post_init__(self):
-        if not (-math.inf < self.lower < self.upper and self.upper - self.lower < math.inf):
+        object.__setattr__(self, "lower", _as_float("lower", self.lower, error=NonPositiveInterval))
+        object.__setattr__(self, "upper", _as_float("upper", self.upper, error=NonPositiveInterval))
+        if not (self.lower < self.upper and self.upper - self.lower < math.inf):
             raise NonPositiveInterval(
-                f"need finite lower < upper, a finite width apart: [{self.lower}, {self.upper}]")
+                f"need lower < upper, a finite width apart: [{self.lower}, {self.upper}]")
         object.__setattr__(self, "max_subdivisions",
                            _as_count("max_subdivisions", self.max_subdivisions))
-        if not 0.0 < self.abs_tolerance < math.inf:
-            raise InvalidParameter(f"abs_tolerance must be finite and > 0: {self.abs_tolerance!r}")
-        if not 0.0 <= self.damping < math.inf:
-            raise InvalidParameter(f"damping must be finite and >= 0: {self.damping!r}")
+        object.__setattr__(self, "abs_tolerance",
+                           _as_float("abs_tolerance", self.abs_tolerance, above=0.0))
+        object.__setattr__(self, "damping", _as_float("damping", self.damping))
+        if self.damping < 0.0:
+            raise InvalidParameter(f"damping must be >= 0, got {self.damping!r}")
 
 
 @dataclass(frozen=True)
@@ -476,8 +480,7 @@ def quad_ft(map: Callable[[float], complex], f: float, spec: QuadratureSpec,
     """
     if direction not in (FORWARD, INVERSE):
         raise InvalidParameter(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    if not math.isfinite(2.0 * math.pi * f * max(abs(spec.lower), abs(spec.upper))):
-        raise InvalidParameter(f"phase 2 pi f t must be finite on the window, got f = {f!r}")
+    f = _as_float("f", f, 2.0 * math.pi, max(abs(spec.lower), abs(spec.upper)))
     sign = -2j * np.pi * f if direction == FORWARD else 2j * np.pi * f
 
     def g(t: np.ndarray) -> np.ndarray:
@@ -498,8 +501,7 @@ def half_transform(map: Callable[[float], float], q: float, kind: str,
     """
     if kind not in (COSINE, SINE):
         raise InvalidParameter(f"kind must be 'cosine' or 'sine', got {kind!r}")
-    if not math.isfinite(q * spec.upper):
-        raise InvalidParameter(f"phase q x must be finite on the window, got q = {q!r}")
+    q = _as_float("q", q, spec.upper)
     kernel = np.cos if kind == COSINE else np.sin
     lower = max(0.0, spec.lower)
     if not lower < spec.upper:

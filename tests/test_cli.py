@@ -569,6 +569,18 @@ def test_gaussian_width_whose_square_overflows_exits_one(capsys, argv):
     assert err.startswith("fourierkit: error: ") and "alpha^2" in err
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["sample", "--gen", "sine", "--f", "5"], "--phase", "-1e-3"),
+    (["atoms", "--f0", "1", "--alpha", "2", "--points", "9"], "--t0", "-2.5e-1"),
+    (["sample", "--gen", "chirp", "--f0", "3", "--fs", "500"], "--f1", "-1E2"),
+])
+def test_negative_values_with_an_exponent_are_values_not_flags(capsys, argv, flag, value):
+    # the CLI's own tables write values such as -2.5e-05: after a flag they are its value
+    code, out, _ = run(argv + [flag, value], capsys)
+    assert code == 0
+    assert run(argv + [f"{flag}={value}"], capsys) == (0, out, "")
+
+
 def test_module_entry_point_is_deterministic(tmp_path):
     argv = [sys.executable, "-m", "fourierkit", "sample", "--gen", "square",
             "--f", "3", "--fs", "24", "--n", "48"]

@@ -141,10 +141,10 @@ def test_errors_subclass_builtin_families():
 
 def test_bad_arguments_raise_invalid_parameter():
     from fourierkit import (InvalidParameter, QuadratureSpec, SeriesCoefficients,
-                            bin_frequencies, bin_to_frequency, dirichlet_closed, dirichlet_sum,
-                            dtft_eval, half_series_coefficients, half_transform, make_comb,
-                            quad_ft, sample, sample_spectrum, series_coefficients,
-                            sinc_reconstruct, stft)
+                            alias_frequency, bin_frequencies, bin_to_frequency, dirichlet_closed,
+                            dirichlet_sum, dtft_eval, half_series_coefficients, half_transform,
+                            make_comb, quad_ft, sample, sample_spectrum, series_coefficients,
+                            sinc_reconstruct, stft, window_rect)
     f = lambda x: 1.0  # noqa: E731
     window = QuadratureSpec(0.0, 1.0)
     calls = [
@@ -225,6 +225,29 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: half_transform(f, math.nan, "cosine", window),
         lambda: half_transform(f, -math.inf, "sine", window),
         lambda: half_transform(f, 1e308, "cosine", QuadratureSpec(0.0, 1e10)),
+        # every scalar float argument is finite, and a huge integer is no bare OverflowError
+        lambda: GaborAtom(0.0, 1.0, 10 ** 400),
+        lambda: GaborAtom(10 ** 400, 1.0, 1.0),
+        lambda: GaborAtom(math.inf, 1.0, 1.0),
+        lambda: GaborAtom(math.nan, 1.0, 1.0),
+        lambda: GaborAtom(0.0, 10 ** 400, 1.0),
+        lambda: GaborAtom(0.0, -math.inf, 1.0),
+        lambda: GaborAtom(0.0, math.nan, 1.0),
+        lambda: GaborAtom(0.0, 1.0, 1.0, 10 ** 400),
+        lambda: GaborAtom(0.0, 1.0, 1.0, math.inf),
+        lambda: GaborAtom(0.0, 1.0, 1.0, math.nan),
+        lambda: dtft_eval(Waveform(np.ones(8), 1.0), 10 ** 400),
+        lambda: QuadratureSpec(0.0, 1.0, abs_tolerance=10 ** 400),
+        lambda: QuadratureSpec(0.0, 1.0, damping=10 ** 400),
+        lambda: quad_ft(f, 10 ** 400, window),
+        lambda: half_transform(f, 10 ** 400, "cosine", window),
+        lambda: alias_frequency(10 ** 400, 8.0),
+        lambda: alias_frequency(math.inf, 8.0),
+        lambda: alias_frequency(math.nan, 8.0),
+        lambda: window_rect(Waveform(np.ones(4), 1.0), 2.0, 10 ** 400),
+        lambda: window_rect(Waveform(np.ones(4), 1.0), 2.0, math.nan),
+        lambda: window_rect(Waveform(np.ones(4), 1.0), 2.0, -math.inf),
+        lambda: stft(Waveform(np.ones(8), 1.0), 10 ** 400, 1, 4),
     ]
     for call in calls:
         with pytest.raises(InvalidParameter) as info:
@@ -253,7 +276,9 @@ def test_numpy_integer_counts_give_the_bits_of_int_counts():
 
 @pytest.mark.parametrize("lower, upper", [(-math.inf, 1.0), (0.0, math.inf),
                                           (-math.inf, math.inf), (math.nan, 1.0),
-                                          (-1e308, 1e308)])
+                                          (-1e308, 1e308),
+                                          pytest.param(0.0, 10 ** 400, id="0.0-huge_int"),
+                                          pytest.param(-10 ** 400, 0.0, id="-huge_int-0.0")])
 def test_quadrature_window_must_be_finite(lower, upper):
     from fourierkit import QuadratureSpec
     with pytest.raises(NonPositiveInterval):
@@ -387,6 +412,8 @@ def test_segmented_eval_jump_conventions():
 
 def test_gabor_atom_requires_positive_alpha():
     GaborAtom(0.0, 1.0, 2.0)
+    atom = GaborAtom(0, 1, 2)
+    assert all(type(getattr(atom, name)) is float for name in ("t0", "f0", "alpha", "phase"))
     with pytest.raises(ValueError):
         GaborAtom(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):

@@ -477,6 +477,9 @@ def test_windowed_tone_peak_and_nulls():
 # ---------------------------------------------------------------------------
 
 def test_quadrature_spec_validation():
+    spec = QuadratureSpec(0, 1)
+    assert all(type(getattr(spec, name)) is float
+               for name in ("lower", "upper", "abs_tolerance", "damping"))
     with pytest.raises(NonPositiveInterval):
         QuadratureSpec(1.0, 1.0)
     with pytest.raises(ValueError):
