@@ -1,8 +1,9 @@
 """Command line front end.
 
-Each command turns its parsed flags into one table, a header and its
-columns: it reads waveforms from CSV/WAV files or built-in generators,
-dispatches to the library and writes nothing.  ``main`` writes the table as
+Each command turns its parsed flags into one table: a header, its columns
+and, for a time-frequency grid, its time and frequency axes (else None).  It
+reads waveforms from CSV/WAV files or built-in generators, imports and calls
+the library modules it needs and writes nothing.  ``main`` writes the table as
 plain CSV (UTF-8, LF, 17 significant digits) that plots directly, to stdout
 or to an ``-o`` file that is replaced only by a complete table.  Exit
 status: 0 on success, 1 on runtime errors, 2 on bad flags.
@@ -18,12 +19,13 @@ import os
 import re
 import shutil
 import sys
+import warnings
 import wave
 from typing import Callable
 
 import numpy as np
 
-from . import config, sampling, series, timefreq, transforms
+from . import config, transforms
 from .core import FourierKitError, GaborAtom, ParseError, Spectrum, Waveform
 
 # Rows formatted per write: bounds the text held in memory for large tables.
@@ -69,19 +71,42 @@ def _output(path: str | None):
         raise
 
 
-def _write_table(path: str | None, header: list[str], *columns) -> None:
+def _write_table(path: str | None, header: list[str], *columns, axes=None) -> None:
     """Write equal-length columns as CSV: integers as %d, floats with 17 digits.
 
-    2-D columns are flattened row-major.  No header or cell contains a comma,
-    quote or newline, so no field needs CSV quoting.
+    2-D columns are flattened row-major.  With ``axes=(times, freqs)`` the
+    columns are grids of shape (len(times), len(freqs)), and each row starts
+    with its time and frequency; each axis value is formatted once.  A
+    non-finite float cell raises before the output is opened.  No header or
+    cell contains a comma, quote or newline, so no field needs CSV quoting.
     """
     cols = [np.ravel(c) for c in columns]
+    for name, c in zip(header, [*(axes or ()), *cols]):
+        if c.dtype.kind == "f" and not np.isfinite(c).all():
+            raise FourierKitError(f"column {name!r} has a non-finite value")
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
+    if axes is None:
+        step = _BLOCK_ROWS
+    else:
+        # a formatted float holds no "%", so the axis strings go into the
+        # block's format string; a block is whole frames
+        times, freqs = (["%.17g" % v for v in a.tolist()] for a in axes)
+        frame = [f + "," + row for f in freqs]
+        step = max(1, _BLOCK_ROWS // len(frame)) * len(frame)
     with _output(path) as out:
         out.write(",".join(header) + "\n")
-        for lo in range(0, cols[0].size, _BLOCK_ROWS):
-            block = (c[lo:lo + _BLOCK_ROWS].tolist() for c in cols)
-            out.write("".join(map(row.__mod__, zip(*block))))
+        for lo in range(0, cols[0].size, step):
+            block = [c[lo:lo + step].tolist() for c in cols]
+            rows = len(block[0])
+            if axes is None:
+                template = row * rows
+            else:
+                template = "".join(t + "," + (t + ",").join(frame)
+                                   for t in times[lo // len(frame):(lo + rows) // len(frame)])
+            cells = [None] * (rows * len(block))
+            for j, values in enumerate(block):
+                cells[j::len(block)] = values
+            out.write(template % tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +128,38 @@ def _read_wav(path: str) -> Waveform:
 
 
 def _read_table(path: str) -> dict[str, np.ndarray]:
-    """Columns of a CSV by header name; every cell must be a finite number."""
+    """Columns of a CSV by header name; every cell must be a finite number.
+
+    One ``np.loadtxt`` call reads a plain table.  Anything it refuses, warns
+    about or reads as non-finite, and any header with a quote (a quoted field
+    may span lines), goes to the csv reader, which decides and names the line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+        if '"' not in first:
+            header = [h.strip() for h in next(csv.reader([first]))]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, dtype=float)
+            except (ValueError, Warning):  # the csv reader below reports what is wrong
+                table = None
+            if (table is not None and table.shape[0] and table.shape[1] == len(header)
+                    and np.isfinite(table).all()):
+                return _columns(header, table.T.copy())
+    return _read_csv(path)
+
+
+def _columns(header: list[str], table: np.ndarray) -> dict[str, np.ndarray]:
+    """The rows of ``table`` by header name; the first of a repeated name wins."""
+    columns: dict[str, np.ndarray] = {}
+    for name, col in zip(header, table):
+        columns.setdefault(name, col)
+    return columns
+
+
+def _read_csv(path: str) -> dict[str, np.ndarray]:
+    """``_read_table`` through the csv module, one row at a time."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -131,10 +187,7 @@ def _read_table(path: str) -> dict[str, np.ndarray]:
     finite = np.isfinite(table).all(axis=0)
     if not finite.all():
         raise ParseError(f"{path}:{lines[np.argmin(finite)]}: non-finite value")
-    columns: dict[str, np.ndarray] = {}
-    for name, col in zip(header, table):
-        columns.setdefault(name, col)
-    return columns
+    return _columns(header, table)
 
 
 def _read_waveform_csv(path: str, fs: float | None) -> Waveform:
@@ -210,6 +263,8 @@ def _generated_waveform(parser: argparse.ArgumentParser, args: argparse.Namespac
         samples = np.zeros(n)
         samples[0] = 1.0
         return Waveform(samples, interval)
+    from . import sampling
+
     if args.gen == "sine":
         _need(parser, args, ["f"])
         return sampling.sample(lambda t: math.sin(2.0 * math.pi * args.f * t + phase),
@@ -228,6 +283,8 @@ def _generated_waveform(parser: argparse.ArgumentParser, args: argparse.Namespac
             interval, n)
     if args.gen == "gabor":
         _need(parser, args, ["t0", "f0", "alpha"])
+        from . import timefreq
+
         atom = GaborAtom(args.t0, args.f0, args.alpha, phase)
         return sampling.sample(lambda t: timefreq.gabor_atom_eval(atom, t), interval, n)
     parser.error(f"unknown generator {args.gen!r}")
@@ -265,13 +322,13 @@ def _cmd_transform(parser, args, settings) -> tuple:
     # SIMD paths that can differ in the last bit, so the phase uses math.atan2.
     phase = np.fromiter(map(math.atan2, im.tolist(), re.tolist()), float, n)
     return (["bin", "freq_hz", "re", "im", "mag", "phase"],
-            np.arange(n), transforms.bin_frequencies(n, s.bin_spacing * n),
-            re, im, np.hypot(re, im), phase)
+            (np.arange(n), transforms.bin_frequencies(n, s.bin_spacing * n),
+             re, im, np.hypot(re, im), phase), None)
 
 
 def _waveform_table(w: Waveform) -> tuple:
     return (["index", "time_s", "re", "im"],
-            np.arange(len(w)), w.times, w.samples.real, w.samples.imag)
+            (np.arange(len(w)), w.times, w.samples.real, w.samples.imag), None)
 
 
 def _series_map(parser, args) -> Callable[[float], float]:
@@ -286,6 +343,8 @@ def _series_map(parser, args) -> Callable[[float], float]:
 
 
 def _cmd_series(parser, args, settings) -> tuple:
+    from . import series
+
     tol = args.tolerance or float(settings.get("quad_tolerance", config.QUADRATURE_TOLERANCE))
     qspec = transforms.QuadratureSpec(0.0, args.period, abs_tolerance=tol)
     coeffs = series.series_coefficients(_series_map(parser, args), args.period,
@@ -299,9 +358,9 @@ def _cmd_series(parser, args, settings) -> tuple:
               f"tolerance {tol:g} ({names}{more})", file=sys.stderr)
     if args.synthesize:
         ts = np.linspace(0.0, args.period, args.synthesize, endpoint=False)
-        return ["t", "value"], ts, series.series_synthesize(coeffs, ts)
-    return (["n", "a", "b"], np.arange(coeffs.harmonics + 1),
-            np.r_[coeffs.a0, coeffs.cosine], np.r_[0.0, coeffs.sine])
+        return ["t", "value"], (ts, series.series_synthesize(coeffs, ts)), None
+    return (["n", "a", "b"], (np.arange(coeffs.harmonics + 1),
+            np.r_[coeffs.a0, coeffs.cosine], np.r_[0.0, coeffs.sine]), None)
 
 
 def _cmd_sample(parser, args, settings) -> tuple:
@@ -309,33 +368,35 @@ def _cmd_sample(parser, args, settings) -> tuple:
 
 
 def _cmd_reconstruct(parser, args, settings) -> tuple:
+    from . import sampling
+
     w = _input_waveform(parser, args)
     span = w.sample_interval * (len(w) - 1)
     ts = w.start_time + np.linspace(0.0, span, args.grid)
     vals = np.array([sampling.sinc_reconstruct(w, t, args.taps) for t in ts.tolist()])
-    return ["t", "re", "im"], ts, vals.real, vals.imag
-
-
-def _grid_axes(dist: timefreq.TFDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Time and frequency of each cell of ``dist.values``, flattened row-major."""
-    nt, nf = dist.values.shape
-    return np.repeat(dist.time_axis, nf), np.tile(dist.freq_axis, nt)
+    return ["t", "re", "im"], (ts, vals.real, vals.imag), None
 
 
 def _cmd_stft(parser, args, settings) -> tuple:
+    from . import timefreq
+
     w = _input_waveform(parser, args)
     dist = timefreq.stft(w, args.window_alpha, args.hop, args.frame)
-    return (["t", "f", "re", "im"], *_grid_axes(dist),
-            dist.values.real, dist.values.imag)
+    return (["t", "f", "re", "im"], (dist.values.real, dist.values.imag),
+            (dist.time_axis, dist.freq_axis))
 
 
 def _cmd_wvd(parser, args, settings) -> tuple:
+    from . import timefreq
+
     w = _input_waveform(parser, args)
     dist = timefreq.wvd(w)
-    return ["t", "f", "value"], *_grid_axes(dist), dist.values
+    return ["t", "f", "value"], (dist.values,), (dist.time_axis, dist.freq_axis)
 
 
 def _cmd_atoms(parser, args, settings) -> tuple:
+    from . import timefreq
+
     atom = GaborAtom(args.t0, args.f0, args.alpha, args.phase or 0.0)
     if args.domain == "time":
         span = 5.0 / atom.alpha
@@ -346,7 +407,7 @@ def _cmd_atoms(parser, args, settings) -> tuple:
         xs = np.linspace(atom.f0 - span, atom.f0 + span, args.points)
         value, axis = timefreq.gabor_atom_spectrum, "f"
     vals = np.array([value(atom, x) for x in xs.tolist()])
-    return [axis, "re", "im"], xs, vals.real, vals.imag
+    return [axis, "re", "im"], (xs, vals.real, vals.imag), None
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +513,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = config.load_config()
-        _write_table(args.output, *args.run(parser, args, settings))
+        header, columns, axes = args.run(parser, args, settings)
+        _write_table(args.output, header, *columns, axes=axes)
         return 0
     except BrokenPipeError:
         return 1

@@ -1,8 +1,11 @@
 """Value types: construction, validation, jump conventions, config parsing."""
 
 import ast
+import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +338,42 @@ def test_cli_writes_tables_from_main_only():
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "_write_table"]
     assert callers == ["main"]
+
+
+PUBLIC_NAMES = set("""
+    COMPLEX ComplexSeriesCoefficients EmptyBins EmptySamples FourierKitError FrameTooLong
+    GaborAtom ImpulseTrain IndexOutOfRange InvalidParameter LengthMismatch NonFiniteSample
+    NonPositiveInterval OddLength ParseError QuadResult QuadratureSpec REAL RealTagViolation
+    SegmentedFunction SeriesCoefficients Spectrum TFDistribution ToleranceNotReached
+    UncertaintyProduct Waveform ZeroEnergy alias_frequency analytic_signal bin_frequencies
+    bin_to_frequency centered config convolve_circular convolve_linear core dft
+    dirichlet_closed dirichlet_sum dtft_eval fft from_complex gabor_atom_eval
+    gabor_atom_spectrum half_series_coefficients half_transform idft ifft kernels make_comb
+    quad_ft rect sample sample_spectrum sampling segmented_eval series series_coefficients
+    series_synthesize sift sinc sinc_reconstruct sinc_scaled step stft timefreq to_complex
+    transforms uncertainty_product validate_waveform window_rect wvd
+""".split())
+
+
+def test_public_names_resolve_on_first_use():
+    # in a fresh interpreter: dir() before any use, then a star import
+    code = ("import json, sys, fourierkit\n"
+            "listed = [n for n in dir(fourierkit) if not n.startswith('_')]\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('fourierkit.'))\n"
+            "names = {}\n"
+            "exec('from fourierkit import *', names)\n"
+            "print(json.dumps([listed, loaded, sorted(set(names) - {'__builtins__'})]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    listed, loaded, starred = json.loads(proc.stdout)
+    assert set(listed) == set(starred) == PUBLIC_NAMES
+    assert loaded == []
+    import fourierkit
+    from fourierkit import sampling, timefreq, transforms
+    assert fourierkit.fft is transforms.fft and fourierkit.stft is timefreq.stft
+    assert fourierkit.sampling is sampling and sampling.__name__ == "fourierkit.sampling"
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        fourierkit.nonesuch
 
 
 def test_spectrum_basics():

@@ -53,6 +53,38 @@ def integrals_ops(seed):
             Op("pause", lambda: time.sleep(pause) or seed, lambda r: None)]
 """
 
+# The cli-tables op list of the --ops children: each op is a run of the tree's
+# own fake ``python -m fourierkit``, below, and its check reads the table.
+_FAKE_CLI_OPS = """
+
+@dataclass
+class CliOp:
+    kind: str
+    argv: list
+    output: str
+    check: object
+
+
+def cli_ops(workdir, seed, python):
+    with open(os.environ["PAIRS_LOG"], "a") as fh:
+        fh.write(f"{side} {seed} {workdir}\\n")
+    tagged = lambda p: "tagged as the change" if Path(p).read_text() == "change" else None
+    return [CliOp("pause", ["pause"], "out-pause.csv", lambda p: None),
+            CliOp("tagged", ["tagged"], "out-tagged.csv", tagged)]
+"""
+
+# "pause" writes the same table from both trees, half as slowly in the change;
+# "tagged" writes the tree's side.
+_FAKE_MAIN = """
+import sys, time
+from pathlib import Path
+side = (Path(__file__).resolve().parents[2] / "SIDE").read_text().strip()
+kind, path = sys.argv[1], sys.argv[sys.argv.index("-o") + 1]
+if kind == "pause":
+    time.sleep({"parent": 0.04, "change": 0.02}[side])
+Path(path).write_text("t,v\\n0,1\\n" if kind == "pause" else side)
+"""
+
 _BENCHMARK = {"workloads": [{"name": "lib-spectra"}],
               "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
                              {"name": "rows", "better": "higher", "bound": 0.01}]}
@@ -70,7 +102,10 @@ def _committed_repo(tmp_path):
     (repo / "perfbench").mkdir(parents=True)
     scratch.mkdir()
     (repo / "perfbench" / "run.py").write_text(_FAKE_RUN)
-    (repo / "perfbench" / "ops.py").write_text(_FAKE_OPS)
+    (repo / "perfbench" / "ops.py").write_text(_FAKE_OPS + _FAKE_CLI_OPS)
+    (repo / "src" / "fourierkit").mkdir(parents=True)
+    (repo / "src" / "fourierkit" / "__init__.py").write_text("")
+    (repo / "src" / "fourierkit" / "__main__.py").write_text(_FAKE_MAIN)
     (repo / "BENCHMARK.json").write_text(json.dumps(_BENCHMARK))
     (repo / "SIDE").write_text("parent\n")
     _git(repo, "init", "-q")
@@ -173,6 +208,32 @@ def test_pairs_time_op_kinds_in_alternating_rounds_and_keep_sections_of_the_same
     assert report["workloads"] == {} and list(report["ops"]) == ["lib-integrals"]
     section = report["ops"]["lib-integrals"]
     assert section["tree"].startswith(head + "+") and section["seeds"] == [1, 2]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_pairs_time_cli_ops_as_processes_of_each_tree(tmp_path):
+    repo, scratch, log = _committed_repo(tmp_path)
+    (repo / "SIDE").write_text("change\n")
+
+    subprocess.run([sys.executable, str(PAIRS), "--pr", "7", "--repo", str(repo), "--scratch",
+                    str(scratch), "--pairs", "2", "--workload", "cli-tables", "--ops", "pause",
+                    "tagged"], env={**os.environ, "PAIRS_LOG": str(log)}, check=True,
+                   capture_output=True)
+
+    logged = [line.split() for line in log.read_text().splitlines()]
+    assert [line[:2] for line in logged] == [["parent", "1"], ["change", "1"],
+                                             ["change", "2"], ["parent", "2"]]
+    assert not any(Path(line[2]).exists() for line in logged)  # the op directories
+    kinds = json.loads((repo / "BENCH_7.json").read_text())["ops"]["cli-tables"]["kinds"]
+    pause, tagged = kinds["pause"], kinds["tagged"]
+    assert pause["rounds"] == 2 and pause["change_wins"] == 2 and pause["ratio"] < 0.9
+    assert pause["parent_median_s"] >= 0.04
+    assert pause["same_bits"] == [True, True]
+    assert pause["correct"] == {"parent": [True, True], "change": [True, True]}
+    assert tagged["correct"] == {"parent": [True, True], "change": [False, False]}
+    assert tagged["first_error"] == "tagged as the change"
+    assert tagged["same_bits"] == [False, False]
+    assert not any(scratch.iterdir())
 
 
 def test_pairs_refuse_ops_without_a_workload(tmp_path):

@@ -21,17 +21,21 @@ parent's quartile spread relative to its median, and the bound from
 BENCHMARK.json, plus one host line.  A metric is ``unresolved`` when that
 spread exceeds its bound: such a run cannot show the metric unchanged.
 
-With ``--ops KIND ...`` the runs are per op instead, for each named library
-workload (lib-spectra, lib-integrals).  Round i starts one child process per
-tree, in the same alternating order on seed first-seed + i.  A child imports
-its own tree's ``perfbench/ops.py`` and ``src/fourierkit``, builds the
-workload's op list for the seed, runs every op of the named kinds once as a
-warm-up checked by each op's own oracle, then times each kind, all of its
-ops in list order, best of OPS_BEST_OF.  The ``ops`` section of
-BENCH_<pr>.json then holds per workload and kind the per-round bests, their
-medians, how many rounds the change won, the ratio of the change's median to
-the parent's, each round's ``correct``, and whether the two trees' warm-up
-results pickled to the same bytes in each round (``same_bits``).
+With ``--ops KIND ...`` the runs are per op instead, for each named
+workload.  Round i starts one child process per tree, in the same
+alternating order on seed first-seed + i.  A child imports its own tree's
+``perfbench/ops.py`` and ``src/fourierkit``, builds the workload's op list
+for the seed, runs every op of the named kinds once as a warm-up checked by
+each op's own oracle, then times each kind, all of its ops in list order,
+best of OPS_BEST_OF.  On cli-tables an op is one ``python -m fourierkit``
+process of the tree (``PYTHONPATH`` leads with its ``src``), timed as a
+process wall, and its result is its output table; the input and output
+files live in a temporary directory that the child removes.  The
+``ops`` section of BENCH_<pr>.json then holds per workload and kind the
+per-round bests, their medians, how many rounds the change won, the ratio of
+the change's median to the parent's, each round's ``correct``, and whether
+the two trees' warm-up results were the same bytes in each round
+(``same_bits``: the pickled results of a library op, the tables of a CLI op).
 
 Every workload section of either mode records the ``tree`` it measured:
 HEAD, plus a digest of the uncommitted changes under src/ and perfbench/
@@ -99,16 +103,38 @@ OPS_BEST_OF = 5
 
 # The child of one tree in --ops mode: argv is tree, workload, seed, best-of and
 # kinds; it prints {kind: {"best_s": seconds, "error": null or the first failure,
-# "sha256": digest of the pickled warm-up results}}.
+# "sha256": digest of the warm-up results}}.  A cli-tables op is one
+# ``python -m fourierkit`` process of the tree, and its result the bytes of its
+# output table.
 _OPS_CHILD = r"""
-import hashlib, json, pickle, sys, time
+import atexit, hashlib, json, os, pickle, shutil, subprocess, sys, tempfile, time
 from pathlib import Path
+from types import SimpleNamespace
 tree, workload, seed, best_of, kinds = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3]), \
     int(sys.argv[4]), sys.argv[5:]
 sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
 import ops
-build = {"lib-spectra": "spectra_ops", "lib-integrals": "integrals_ops"}[workload]
-listed = getattr(ops, build)(seed)
+if workload == "cli-tables":
+    work = tempfile.mkdtemp(prefix="pairs-ops-")
+    atexit.register(shutil.rmtree, work, True)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        [str(tree / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+    python = [sys.executable, "-m", "fourierkit"]
+
+    def process(op):
+        path = os.path.join(work, op.output)
+
+        def run():
+            subprocess.run(python + op.argv + ["-o", path], check=True)
+            with open(path, "rb") as fh:
+                return fh.read()
+
+        return SimpleNamespace(kind=op.kind, run=run, check=lambda table: op.check(path))
+
+    listed = [process(op) for op in ops.cli_ops(work, seed, python)]
+else:
+    build = {"lib-spectra": "spectra_ops", "lib-integrals": "integrals_ops"}[workload]
+    listed = getattr(ops, build)(seed)
 out = {}
 for kind in kinds:
     chosen = [op for op in listed if op.kind == kind]
@@ -117,7 +143,8 @@ for kind in kinds:
         continue
     values = [op.run() for op in chosen]
     error = next((e for e in (op.check(v) for op, v in zip(chosen, values)) if e), None)
-    digest = hashlib.sha256(pickle.dumps(values)).hexdigest()
+    digest = hashlib.sha256(b"".join(values) if workload == "cli-tables"
+                            else pickle.dumps(values)).hexdigest()
     del values
     best = float("inf")
     for _ in range(best_of):
@@ -228,7 +255,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="time these op kinds of each --workload instead of whole runs")
     args = parser.parse_args(argv)
     if args.ops and not args.workload:
-        parser.error("--ops needs --workload: the library workload whose op list holds the kinds")
+        parser.error("--ops needs --workload: the workload (lib-spectra, lib-integrals or "
+                     "cli-tables) whose op list holds the kinds")
     repo = Path(args.repo).resolve()
     bench = json.loads((repo / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m for m in bench.get("end_to_end", [])}
