@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import config, transforms
-from .core import FourierKitError, GaborAtom, ParseError, Spectrum, Waveform
+from .core import FourierKitError, GaborAtom, ParseError, Spectrum, Waveform, _as_float
 
 # Rows formatted per write: bounds the text held in memory for large tables.
 _BLOCK_ROWS = 8192
@@ -203,10 +203,11 @@ def _read_waveform_csv(path: str, fs: float | None) -> Waveform:
         slack = 1e-6 * abs(interval) + 4.0 * np.spacing(np.abs(times).max())
         if np.any(np.abs(np.diff(times) - interval) > slack):
             raise ParseError(f"{path}: time_s is not uniformly spaced")
-    elif fs:
-        interval, start = 1.0 / fs, 0.0
+    elif fs:  # a single time_s row still gives the start time
+        interval, start = 1.0 / fs, 0.0 if times is None else float(times[0])
     else:
-        raise ParseError(f"{path}: no time_s column; pass --fs to set the sample rate")
+        what = "no time_s column" if times is None else "one time_s row sets no sample rate"
+        raise ParseError(f"{path}: {what}; pass --fs to set the sample rate")
     return Waveform(samples, interval, start)
 
 
@@ -265,21 +266,26 @@ def _generated_waveform(parser: argparse.ArgumentParser, args: argparse.Namespac
         return Waveform(samples, interval)
     from . import sampling
 
+    # each frequency flag must keep its phase finite at the last sample time, with the
+    # factors in the order its generator multiplies them
+    last = (n - 1) * interval
     if args.gen == "sine":
         _need(parser, args, ["f"])
-        return sampling.sample(lambda t: math.sin(2.0 * math.pi * args.f * t + phase),
-                               interval, n)
+        f = _as_float("--f", args.f, 2.0 * math.pi, last)
+        return sampling.sample(lambda t: math.sin(2.0 * math.pi * f * t + phase), interval, n)
     if args.gen == "square":
         _need(parser, args, ["f"])
-        return sampling.sample(
-            lambda t: _square_wave(args.f * t + phase / (2.0 * math.pi)),
-            interval, n)
+        f = _as_float("--f", args.f, last)
+        return sampling.sample(lambda t: _square_wave(f * t + phase / (2.0 * math.pi)),
+                               interval, n)
     if args.gen == "chirp":
         _need(parser, args, ["f0", "f1"])
+        f0, f1 = (_as_float(name, value, last, 2.0 * math.pi)
+                  for name, value in (("--f0", args.f0), ("--f1", args.f1)))
         dur = n * interval
-        rate = (args.f1 - args.f0) / (2.0 * dur)
+        rate = _as_float("--f1 - --f0", f1 - f0, last, 2.0 * math.pi) / (2.0 * dur)
         return sampling.sample(
-            lambda t: math.cos(2.0 * math.pi * (args.f0 * t + rate * t * t) + phase),
+            lambda t: math.cos(2.0 * math.pi * (f0 * t + rate * t * t) + phase),
             interval, n)
     if args.gen == "gabor":
         _need(parser, args, ["t0", "f0", "alpha"])

@@ -20,7 +20,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .core import InvalidParameter, _INTERVAL, _as_count, _as_float, _eval_map, _frozen, _match
-from .transforms import QuadratureSpec, _BLOCK_ENTRIES, _fft_raw
+from .transforms import QuadratureSpec, _fft_raw
+
+_BLOCK_ENTRIES = 2_000_000  # entries per block of series_synthesize's angle matrices
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,11 +26,7 @@ from .core import (
     _gaussian_width_ok,
     _match,
 )
-from .transforms import _fft_raw, _ifft_raw, bin_frequencies
-
-# Padded points of one block of wvd lag rows: small enough that the block and
-# its transform's buffers stay in cache.
-_WVD_BLOCK_POINTS = 1 << 14
+from .transforms import _block_rows, _fft_raw, _ifft_raw, bin_frequencies
 
 
 def analytic_signal(w: Waveform) -> Waveform:
@@ -145,7 +141,7 @@ def wvd(w: Waveform) -> TFDistribution:
     rows = np.empty((centers.size, lags))
     # one block of lag rows, reused: lags 0..reach, their mirrors at lags - reach..lags - 1,
     # and the zeros between them, which no block writes
-    step = max(1, _WVD_BLOCK_POINTS // lags)
+    step = _block_rows(lags)
     lagged = np.zeros((min(step, centers.size), lags), dtype=np.complex128)
     for lo in range(0, centers.size, step):
         c = centers[lo:lo + step, None]

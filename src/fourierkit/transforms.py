@@ -56,7 +56,15 @@ SINE = "sine"
 # discrete transforms
 # ---------------------------------------------------------------------------
 
-_BLOCK_ENTRIES = 2_000_000  # entries per block of a direct sum's kernel matrix
+# Padded points of one block of rows in every batched transform, and of the
+# direct sum's kernel matrix: small enough that a block and its buffers stay in
+# cache.  A row's bits do not depend on the block it runs in.
+_BLOCK_POINTS = 1 << 14
+
+
+def _block_rows(padded: int) -> int:
+    """Rows of one block, for rows of ``padded`` points."""
+    return max(1, _BLOCK_POINTS // padded)
 
 
 def _dft_raw(x: np.ndarray) -> np.ndarray:
@@ -64,19 +72,22 @@ def _dft_raw(x: np.ndarray) -> np.ndarray:
 
     The kernel gathers from one table of the N roots of unity at (k*n) mod N,
     an exact integer index, so conjugate bins agree to machine precision even
-    for large N.  Rows are processed in chunks to keep the kernel matrix
-    small.
+    for large N.  Rows of the kernel matrix are built one block at a time,
+    and no block holds a lone row: BLAS sums a one-row product as a dot
+    product, in another order than the matrix-vector product of every other
+    row, so a lone last row would change its bits with the block size.
     """
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
     out = np.empty(n, dtype=np.complex128)
     idx = np.arange(n, dtype=np.int64)
     roots = np.exp((-2j * np.pi / n) * idx)
-    chunk = max(1, _BLOCK_ENTRIES // n)
-    for lo in range(0, n, chunk):
-        ang = idx[lo:lo + chunk, None] * idx
-        ang %= n  # in place: one index matrix per chunk, not two
-        out[lo:lo + chunk] = roots[ang] @ x
+    step = max(2, _block_rows(n))
+    for lo in range(0, n, step):
+        lo = max(0, min(lo, n - 2))  # the last block starts early rather than hold one row
+        ang = idx[lo:lo + step, None] * idx
+        ang %= n  # in place: one index matrix per block, not two
+        out[lo:lo + step] = roots[ang] @ x
     return out
 
 
@@ -133,27 +144,7 @@ def _twiddle(m: int, rows: int, step: int, r: int) -> np.ndarray:
     return w
 
 
-# Largest batch, in padded points, that one kernel call transforms at once;
-# bigger batches go through in row blocks so the scratch buffers stay bounded.
-_CHUNK_POINTS = 1 << 19
-
-
-def _by_chunks(kernel: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-               padded: int) -> np.ndarray:
-    """Apply ``kernel`` to the rows of x (last axis) in blocks of at most
-    _CHUNK_POINTS points once each row is padded to ``padded``."""
-    rows = x.reshape(-1, x.shape[-1])
-    step = max(1, _CHUNK_POINTS // padded)
-    if rows.shape[0] <= step:
-        return kernel(rows).reshape(x.shape)
-    out = np.empty(rows.shape, dtype=np.complex128)
-    for lo in range(0, rows.shape[0], step):
-        out[lo:lo + step] = kernel(rows[lo:lo + step])
-    return out.reshape(x.shape)
-
-
-def _fft_smooth(x: np.ndarray, out: np.ndarray | None = None,
-                work: np.ndarray | None = None) -> np.ndarray:
+def _fft_smooth(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
     """Forward Cooley-Tukey transform of the last axis, whose length n must
     have a ``_plan``, in one stage per radix of the plan.
 
@@ -165,25 +156,23 @@ def _fft_smooth(x: np.ndarray, out: np.ndarray | None = None,
     as two small factors, split at the next stage's leading digit of t2, and
     one copy stores the row as (t2, k1, done) so that digit leads.  The last
     stage needs no twiddles and leaves the row in natural order.  Every
-    stage writes into the same two buffers: ``out``, which returns the
-    result, and ``work``, each a C-contiguous complex128 array of x's size,
-    allocated when not given.  Only the first stage reads x, so x may serve
-    as ``work`` when it may be overwritten; otherwise x is left unchanged.
+    stage writes into the same two buffers: ``out``, which receives the
+    result, and ``work``, each a C-contiguous complex128 array of x's size.
+    Only the first stage reads x, so x may serve as ``work`` when it may be
+    overwritten; otherwise x is left unchanged.
     The batch stays out of the matmul's column count: every row runs the
     same BLAS call, so a batch gives the bits of row-by-row calls.
     """
-    x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
     batch = x.size // n
     plan = _plan(n)
-    spec, store = (np.empty((batch, n), dtype=np.complex128) if buf is None
-                   else buf.reshape(batch, n) for buf in (out, work))
+    spec, store = out.reshape(batch, n), work.reshape(batch, n)
     src, m, done = x.reshape(batch, n), n, 1
     for r, lead in zip(plan, plan[1:] + (1,)):
         np.matmul(_twiddle(r, r, 1, r), src.reshape(batch, r, n // r),
                   out=spec.reshape(batch, r, n // r))
         if lead == 1:
-            return spec.reshape(x.shape)
+            return
         rest = m // r
         low = rest // lead
         y = spec.reshape(batch, r, lead, low, done)
@@ -249,55 +238,63 @@ def _bluestein(x: np.ndarray) -> np.ndarray:
     m-point transforms and a few passes over the data.
 
     One allocation holds the kernel's spectrum and two row buffers for one
-    ``_by_chunks`` block.  The kernel, with the 1/m of the convolution's
-    inverse transform folded in, is built in the first row buffer and
-    transformed into its place once per call.  Each block of rows goes into
-    the first buffer, its transform into the second, which is multiplied by
-    the kernel's spectrum and transformed back into the first.  That
-    transform is forward: the inverse at j is the forward one at -j mod m,
-    so its result is read backwards.  A one-row call peaks near
-    three padded buffers plus the chirp and the output.  Freed as one
-    block, the scratch stays in glibc's heap for the next call instead of
-    being returned to the system and faulted in again.
+    block of rows.  The kernel, with the 1/m of the convolution's inverse
+    transform folded in, is built in the first row buffer and transformed
+    into its place once per call.  Each block of rows goes into the first
+    buffer, its transform into the second, which is multiplied by the
+    kernel's spectrum and transformed back into the first.  That transform
+    is forward: the inverse at j is the forward one at -j mod m, so its
+    result is read backwards, times the chirp, into the output.  A one-row
+    call peaks near three padded buffers plus the chirp and the output.
+    Freed as one block, the scratch stays in glibc's heap for the next call
+    instead of being returned to the system and faulted in again.
     """
     n = x.shape[-1]
     m = _bluestein_length(n)
     chirp = _chirp(n)
-    block = max(1, min(x.size // n, _CHUNK_POINTS // m))  # rows of one _by_chunks block
+    rows = x.reshape(-1, n)
+    block = min(_block_rows(m), max(1, len(rows)))  # an empty batch still builds its kernel
     scratch = np.empty((1 + 2 * block, m), dtype=np.complex128)
     kernel, pad = scratch[0], scratch[1]
     np.conjugate(chirp, out=pad[:n])
     pad[:n] /= m
     pad[n:m - n + 1] = 0.0
     pad[m - n + 1:] = pad[n - 1:0:-1]
-    _fft_smooth(pad, out=kernel, work=pad)
-
-    def convolve(rows: np.ndarray) -> np.ndarray:
-        a = scratch[1:1 + rows.shape[0]]
-        spec = scratch[1 + block:1 + block + rows.shape[0]]
-        np.multiply(rows, chirp, out=a[:, :n])
+    _fft_smooth(pad, kernel, pad)
+    out = np.empty(rows.shape, dtype=np.complex128)
+    for lo in range(0, len(rows), block):
+        res = out[lo:lo + block]
+        a, spec = scratch[1:1 + len(res)], scratch[1 + block:1 + block + len(res)]
+        np.multiply(rows[lo:lo + block], chirp, out=a[:, :n])
         a[:, n:] = 0.0
-        _fft_smooth(a, out=spec, work=a)
+        _fft_smooth(a, spec, a)
         spec *= kernel
-        _fft_smooth(spec, out=a, work=spec)
+        _fft_smooth(spec, a, spec)
         # X[j] = chirp[j] a[-j mod m]
-        out = np.empty(rows.shape, dtype=np.complex128)
-        out[:, 0] = a[:, 0]  # chirp[0] is 1
-        np.multiply(a[:, :m - n:-1], chirp[1:], out=out[:, 1:])
-        return out
-
-    return _by_chunks(convolve, x, m)
+        res[:, 0] = a[:, 0]  # chirp[0] is 1
+        np.multiply(a[:, :m - n:-1], chirp[1:], out=res[:, 1:])
+    return out.reshape(x.shape)
 
 
 def _fft_raw(x: np.ndarray) -> np.ndarray:
     """Forward transform of the last axis of a (..., n) array, unscaled, x
     left unchanged: mixed-radix stages for lengths 2^a 3^b 5^c 7^d, a chirp
-    convolution padded to such a length for the others."""
+    convolution padded to such a length for the others.  The stages run one
+    block of rows at a time, each straight into the result, through one
+    reused work block."""
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
     if n <= 1:
         return x.copy()
-    return _by_chunks(_fft_smooth, x, n) if _plan(n) else _bluestein(x)
+    if not _plan(n):
+        return _bluestein(x)
+    rows = x.reshape(-1, n)
+    step = _block_rows(n)
+    out = np.empty(rows.shape, dtype=np.complex128)
+    work = np.empty_like(out[:step])
+    for lo in range(0, len(rows), step):
+        _fft_smooth(rows[lo:lo + step], out[lo:lo + step], work[:len(rows) - lo])
+    return out.reshape(x.shape)
 
 
 def _backwards(spec: np.ndarray) -> np.ndarray:

@@ -202,9 +202,15 @@ _HUGE = "100000000000000000"
                  marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     pytest.param(["atoms", "--t0", "1e308", "--f0", "1", "--alpha", "1", "--points", "3"], 1,
                  marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # generator flags whose phase overflows are refused before sampling, with no warning
+    (["sample", "--gen", "square", "--f", "1e308", "--fs", "1", "--n", "4"], 1),
+    (["sample", "--gen", "sine", "--f", "1e308", "--fs", "1", "--n", "4"], 1),
+    (["sample", "--gen", "chirp", "--f0", "1e308", "--f1", "-1e308", "--fs", "1e10", "--n", "4"],
+     1),
 ], ids=["transform", "series", "sample", "reconstruct", "stft", "wvd", "atoms", "huge-sample",
         "huge-transform", "huge-series-k", "huge-series-synthesize", "huge-atoms",
-        "huge-reconstruct", "inf-freq-column", "nan-atom-cells"])
+        "huge-reconstruct", "inf-freq-column", "nan-atom-cells", "huge-square-phase",
+        "huge-sine-phase", "huge-chirp-sweep"])
 def test_failed_run_leaves_the_output_untouched(tmp_path, monkeypatch, capsys, argv, want):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.csv").write_text("re\n1\nx\n", encoding="utf-8")
@@ -428,6 +434,23 @@ def test_waveform_csv_needs_rate_or_time(tmp_path, capsys):
     assert "--fs" in err
     code, out, _ = run(["transform", str(src), "--fs", "2"], capsys)
     assert code == 0
+
+
+def test_one_time_row_gives_the_start_time_and_fs_the_interval(tmp_path, capsys):
+    src = tmp_path / "wave.csv"
+    src.write_text("time_s,re\n5,1\n", encoding="utf-8")
+    code, out, _ = run(["reconstruct", str(src), "--fs", "2", "--grid", "3"], capsys)
+    assert code == 0
+    assert out == "t,re,im\n5,1,0\n5,1,0\n5,1,0\n"  # not t = 0: the start time is kept
+
+
+def test_one_time_row_without_fs_says_it_sets_no_rate(tmp_path, capsys):
+    src = tmp_path / "wave.csv"
+    src.write_text("time_s,re\n5,1\n", encoding="utf-8")
+    code, _, err = run(["reconstruct", str(src)], capsys)
+    assert code == 1
+    assert "one time_s row sets no sample rate; pass --fs" in err
+    assert "no time_s column" not in err
 
 
 @pytest.mark.parametrize("content", [

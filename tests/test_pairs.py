@@ -28,8 +28,9 @@ print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
     "rows": {"value": 10 + (side == "change"), "unit": "count"}}}))
 """
 
-# The --ops children's op list: "pause" sleeps half as long in the change, and
-# "tagged" returns the tree's side, which its check refuses in the change.
+# The --ops children's op list: "pause" sleeps half as long in the change,
+# "tagged" returns the tree's side, which its check refuses in the change, and
+# "hold" allocates 4 MiB in the parent and 1 MiB in the change.
 _FAKE_OPS = """
 import os, time
 from dataclasses import dataclass
@@ -50,7 +51,9 @@ def integrals_ops(seed):
     pause = {"parent": 0.01, "change": 0.005}[side]
     return [Op("pause", lambda: time.sleep(pause) or seed, lambda r: None if r == seed else "?"),
             Op("tagged", lambda: side, lambda r: "tagged as the change" if r == "change" else None),
-            Op("pause", lambda: time.sleep(pause) or seed, lambda r: None)]
+            Op("pause", lambda: time.sleep(pause) or seed, lambda r: None),
+            Op("hold", lambda: len(bytearray({"parent": 4, "change": 1}[side] << 20)),
+               lambda r: None)]
 """
 
 # The cli-tables op list of the --ops children: each op is a run of the tree's
@@ -233,7 +236,29 @@ def test_pairs_time_cli_ops_as_processes_of_each_tree(tmp_path):
     assert tagged["correct"] == {"parent": [True, True], "change": [False, False]}
     assert tagged["first_error"] == "tagged as the change"
     assert tagged["same_bits"] == [False, False]
+    assert pause["peak_mb"] == {"parent": [None, None], "change": [None, None]}
+    assert pause["parent_peak_median_mb"] is None and pause["change_peak_median_mb"] is None
     assert not any(scratch.iterdir())
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_pairs_record_the_peak_memory_of_each_kind_warm_up(tmp_path):
+    repo, scratch, log = _committed_repo(tmp_path)
+    (repo / "SIDE").write_text("change\n")
+
+    subprocess.run([sys.executable, str(PAIRS), "--pr", "7", "--repo", str(repo), "--scratch",
+                    str(scratch), "--pairs", "2", "--workload", "lib-integrals", "--ops", "hold",
+                    "absent"], env={**os.environ, "PAIRS_LOG": str(log)}, check=True,
+                   capture_output=True)
+
+    kinds = json.loads((repo / "BENCH_7.json").read_text())["ops"]["lib-integrals"]["kinds"]
+    hold, absent = kinds["hold"], kinds["absent"]
+    assert all(4 <= mb < 4.5 for mb in hold["peak_mb"]["parent"])
+    assert all(1 <= mb < 1.5 for mb in hold["peak_mb"]["change"])
+    assert hold["parent_peak_median_mb"] == statistics.median(hold["peak_mb"]["parent"])
+    assert hold["change_peak_median_mb"] == statistics.median(hold["peak_mb"]["change"])
+    assert absent["peak_mb"] == {"parent": [None, None], "change": [None, None]}
+    assert absent["parent_peak_median_mb"] is None
 
 
 def test_pairs_refuse_ops_without_a_workload(tmp_path):

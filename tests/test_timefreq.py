@@ -27,6 +27,7 @@ from fourierkit import (
     uncertainty_product,
     wvd,
 )
+import fourierkit.transforms as transforms
 from fourierkit.transforms import _fft_raw
 
 
@@ -283,6 +284,19 @@ def test_wvd_in_row_blocks_keeps_the_bits_of_the_whole_matrix(n):
     cplx = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), 0.5)
     for w, psi in ((real, analytic_signal(real).samples), (cplx, cplx.samples)):
         assert np.array_equal(wvd(w).values, _wvd_whole_matrix(psi))
+
+
+# blocks of 3 lag rows over 68 and 266 rows leave a partial last block; the prime
+# 263 lags of 2 * 263 take the chirp path, in blocks of one padded row
+@pytest.mark.parametrize("n", [130, 2 * 263])
+def test_wvd_with_a_partial_last_block_keeps_the_bits_of_one_block(monkeypatch, n):
+    w = Waveform(np.random.default_rng(n).standard_normal(n), 0.5)
+    lags = n // 2
+    monkeypatch.setattr(transforms, "_BLOCK_POINTS", n * n)  # one block
+    whole = _wvd_whole_matrix(analytic_signal(w).samples)
+    monkeypatch.setattr(transforms, "_BLOCK_POINTS", 3 * lags + 1)
+    assert transforms._block_rows(lags) == 3 and len(whole) % 3
+    assert np.array_equal(wvd(w).values, whole)
 
 
 def test_wvd_peaks_near_its_output():

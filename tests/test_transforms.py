@@ -14,6 +14,7 @@ from numpy.fft import fft as np_fft
 from numpy.fft import ifft as np_ifft
 
 import fourierkit
+import fourierkit.transforms as transforms
 from fourierkit import (
     EmptyBins,
     IndexOutOfRange,
@@ -36,7 +37,7 @@ from fourierkit import (
     sinc,
 )
 from fourierkit.transforms import (
-    _CHUNK_POINTS,
+    _BLOCK_POINTS,
     _bluestein_length,
     _chirp,
     _dft_raw,
@@ -401,16 +402,43 @@ def test_batched_transform_equals_row_by_row(n):
 def test_batch_larger_than_one_chunk_equals_row_by_row(n, padded):
     assert padded == (n if _plan(n) else _bluestein_length(n))
     rng = np.random.default_rng(n)
-    rows = _CHUNK_POINTS // padded + 3
+    rows = _BLOCK_POINTS // padded + 3
     x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     got = _fft_raw(x)
     assert np.array_equal(got, np.array([_fft_raw(row) for row in x]))
 
 
-# smooth lengths, Bluestein lengths, and batches past one _by_chunks block
+# blocks of 3 rows over 7 rows or 1000 kernel rows leave a partial last block
+@pytest.mark.parametrize("raw, shape, padded", [(_fft_raw, (7, 64), 64),
+                                                (_fft_raw, (7, 263), _bluestein_length(263)),
+                                                (_ifft_raw, (7, 263), _bluestein_length(263)),
+                                                (_dft_raw, (1000,), 1000)],
+                         ids=["smooth", "bluestein", "bluestein-inverse", "dft"])
+def test_partial_last_block_keeps_the_bits_of_one_block(monkeypatch, raw, shape, padded):
+    rng = np.random.default_rng(shape[-1])
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    monkeypatch.setattr(transforms, "_BLOCK_POINTS", padded * shape[-1])  # one block
+    whole = raw(x)
+    monkeypatch.setattr(transforms, "_BLOCK_POINTS", 3 * padded + padded // 2)
+    assert transforms._block_rows(padded) == 3
+    assert np.array_equal(raw(x), whole)
+
+
+def test_batch_peaks_at_its_output_plus_two_blocks():
+    # the parent's 2^19-point blocks peaked at twice the output
+    x = np.random.default_rng(20).standard_normal((1024, 1024)) + 1j
+    assert _traced_peak(_fft_raw, x) <= x.nbytes + 2 * 16 * _BLOCK_POINTS + 2 ** 16
+
+
+def test_direct_sum_peaks_at_a_few_blocks():
+    # a 2·10^6-entry kernel matrix peaked at 45.9 MiB for 4096 points
+    x = np.random.default_rng(21).standard_normal(4096) + 1j
+    assert _traced_peak(_dft_raw, x) <= 4 * 16 * _BLOCK_POINTS
+
+
+# smooth lengths, Bluestein lengths, and batches of many blocks of rows
 @pytest.mark.parametrize("shape", [(64,), (48000,), (263,), (65537,), (3, 64), (3, 48000),
-                                   (3, 263), (3, 65537), (_CHUNK_POINTS // 256 + 3, 256),
-                                   (_CHUNK_POINTS // 2025 + 3, 1009)],
+                                   (3, 263), (3, 65537), (2051, 256), (261, 1009)],
                          ids=lambda shape: "x".join(map(str, shape)))
 def test_inverse_is_the_forward_transform_read_backwards_over_n(shape):
     rng = np.random.default_rng(shape[-1])

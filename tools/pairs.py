@@ -27,13 +27,15 @@ alternating order on seed first-seed + i.  A child imports its own tree's
 ``perfbench/ops.py`` and ``src/fourierkit``, builds the workload's op list
 for the seed, runs every op of the named kinds once as a warm-up checked by
 each op's own oracle, then times each kind, all of its ops in list order,
-best of OPS_BEST_OF.  On cli-tables an op is one ``python -m fourierkit``
+best of OPS_BEST_OF.  On the library workloads the untimed warm-up pass of
+each kind runs under ``tracemalloc``, and its peak is the kind's peak memory.  On cli-tables an op is one ``python -m fourierkit``
 process of the tree (``PYTHONPATH`` leads with its ``src``), timed as a
 process wall, and its result is its output table; the input and output
 files live in a temporary directory that the child removes.  The
 ``ops`` section of BENCH_<pr>.json then holds per workload and kind the
 per-round bests, their medians, how many rounds the change won, the ratio of
-the change's median to the parent's, each round's ``correct``, and whether
+the change's median to the parent's, each round's warm-up peak in MiB (null
+on cli-tables) and their medians, each round's ``correct``, and whether
 the two trees' warm-up results were the same bytes in each round
 (``same_bits``: the pickled results of a library op, the tables of a CLI op).
 
@@ -103,11 +105,12 @@ OPS_BEST_OF = 5
 
 # The child of one tree in --ops mode: argv is tree, workload, seed, best-of and
 # kinds; it prints {kind: {"best_s": seconds, "error": null or the first failure,
-# "sha256": digest of the warm-up results}}.  A cli-tables op is one
+# "sha256": digest of the warm-up results, "peak_mb": the warm-up's tracemalloc
+# peak, null on cli-tables}}.  A cli-tables op is one
 # ``python -m fourierkit`` process of the tree, and its result the bytes of its
 # output table.
 _OPS_CHILD = r"""
-import atexit, hashlib, json, os, pickle, shutil, subprocess, sys, tempfile, time
+import atexit, hashlib, json, os, pickle, shutil, subprocess, sys, tempfile, time, tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 tree, workload, seed, best_of, kinds = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3]), \
@@ -139,9 +142,14 @@ out = {}
 for kind in kinds:
     chosen = [op for op in listed if op.kind == kind]
     if not chosen:
-        out[kind] = {"best_s": None, "error": f"no op of kind {kind}", "sha256": None}
+        out[kind] = {"best_s": None, "error": f"no op of kind {kind}", "sha256": None,
+                     "peak_mb": None}
         continue
+    if workload != "cli-tables":
+        tracemalloc.start()
     values = [op.run() for op in chosen]
+    peak = tracemalloc.get_traced_memory()[1] / 2 ** 20 if tracemalloc.is_tracing() else None
+    tracemalloc.stop()
     error = next((e for e in (op.check(v) for op, v in zip(chosen, values)) if e), None)
     digest = hashlib.sha256(b"".join(values) if workload == "cli-tables"
                             else pickle.dumps(values)).hexdigest()
@@ -152,13 +160,13 @@ for kind in kinds:
         for op in chosen:
             op.run()
         best = min(best, time.perf_counter() - start)
-    out[kind] = {"best_s": best, "error": error, "sha256": digest}
+    out[kind] = {"best_s": best, "error": error, "sha256": digest, "peak_mb": peak}
 print(json.dumps(out))
 """
 
 
 def run_ops(tree: Path, workload: str, seed: int, kinds: list[str]) -> dict:
-    """One --ops child of ``tree``: {kind: {"best_s", "error", "sha256"}}, each kind
+    """One --ops child of ``tree``: {kind: {"best_s", "error", "sha256", "peak_mb"}}, each kind
     failed with the child's last stderr line when the child fails."""
     proc = subprocess.run([sys.executable, "-c", _OPS_CHILD, str(tree), workload, str(seed),
                            str(OPS_BEST_OF), *kinds], cwd=tree, capture_output=True, text=True)
@@ -166,8 +174,8 @@ def run_ops(tree: Path, workload: str, seed: int, kinds: list[str]) -> dict:
         return json.loads(proc.stdout.splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
         tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-        return {kind: {"best_s": None, "error": f"exit {proc.returncode}: {tail}", "sha256": None}
-                for kind in kinds}
+        return {kind: {"best_s": None, "error": f"exit {proc.returncode}: {tail}", "sha256": None,
+                       "peak_mb": None} for kind in kinds}
 
 
 def summarize_ops(parent: list[dict], change: list[dict], kinds: list[str]) -> dict:
@@ -180,11 +188,16 @@ def summarize_ops(parent: list[dict], change: list[dict], kinds: list[str]) -> d
                  if p is not None and c is not None]
         before, after = np.array(timed, dtype=float).reshape(-1, 2).T
         median, new = (float(np.median(before)), float(np.median(after))) if timed else (None,) * 2
+        peaks = {side: [r["peak_mb"] for r in rs] for side, rs in runs.items()}
+        peak = {side: float(np.median(known)) if (known := [v for v in vs if v is not None])
+                else None for side, vs in peaks.items()}
         out[kind] = {
             "rounds": len(timed), "best_of": OPS_BEST_OF,
             "parent_median_s": median, "change_median_s": new,
             "change_wins": int(np.sum(after < before)),
             "ratio": new / median if median else None,
+            "parent_peak_median_mb": peak["parent"], "change_peak_median_mb": peak["change"],
+            "peak_mb": peaks,
             "correct": {side: [r["error"] is None for r in rs] for side, rs in runs.items()},
             "same_bits": [p["sha256"] is not None and p["sha256"] == c["sha256"]
                           for p, c in zip(runs["parent"], runs["change"])],
