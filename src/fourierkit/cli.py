@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import config, transforms
-from .core import FourierKitError, GaborAtom, ParseError, Spectrum, Waveform, _as_float
+from .core import FourierKitError, GaborAtom, ParseError, Spectrum, Waveform, _as_array, _as_float
 
 # Rows formatted per write: bounds the text held in memory for large tables.
 _BLOCK_ROWS = 8192
@@ -82,8 +82,7 @@ def _write_table(path: str | None, header: list[str], *columns, axes=None) -> No
     """
     cols = [np.ravel(c) for c in columns]
     for name, c in zip(header, [*(axes or ()), *cols]):
-        if c.dtype.kind == "f" and not np.isfinite(c).all():
-            raise FourierKitError(f"column {name!r} has a non-finite value")
+        _as_array(f"column {name!r}", c, c.dtype, FourierKitError)
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
     if axes is None:
         step = _BLOCK_ROWS
@@ -223,7 +222,8 @@ def _read_spectrum_csv(path: str, fs: float | None) -> Spectrum:
     elif fs:
         spacing = fs / len(bins)
     else:
-        raise ParseError(f"{path}: no freq_hz column; pass --fs to set the bin spacing")
+        what = "no freq_hz column" if freqs is None else "one freq_hz row sets no bin spacing"
+        raise ParseError(f"{path}: {what}; pass --fs to set the bin spacing")
     return Spectrum(bins, spacing)
 
 

@@ -1,7 +1,7 @@
 """Shared value types: waveforms, spectra, impulse trains, piecewise maps,
 Gabor atoms, and time-frequency grids, plus the helpers the other modules
-share: map evaluation, scalar-or-array results, and the two argument rules,
-``_as_float`` and ``_as_count``, that every scalar float and count goes through once.
+share: map evaluation, scalar-or-array results, and the argument rules ``_as_float``,
+``_as_array`` and ``_as_count`` that every scalar float, array and count goes through once.
 
 Every type here is an immutable value object.  Operations in the rest of the
 package take these values and return new ones; nothing is mutated in place,
@@ -57,7 +57,7 @@ class LengthMismatch(FourierKitError, ValueError):
 
 
 class NonFiniteSample(FourierKitError, ValueError):
-    """A sampled map produced NaN or infinity."""
+    """A sample, a bin or a sampled map's value was NaN or infinity."""
 
 
 class ToleranceNotReached(FourierKitError, RuntimeError):
@@ -132,6 +132,22 @@ def _as_float(name: str, value: float, *span: float,
     return x
 
 
+def _as_array(name: str, value, kind: type | np.dtype = float,
+              error: type[FourierKitError] = InvalidParameter,
+              at: tuple[str, np.ndarray] | None = None) -> np.ndarray:
+    """np.asarray(value, dtype=kind), once; ``error`` naming ``name`` for a huge integer or for
+    its first non-finite entry, named by flat index or, given ``at=(label, points)``, by point."""
+    try:
+        arr = np.asarray(value, dtype=kind)
+    except OverflowError:
+        raise error(f"{name} holds an integer too large for a float") from None
+    if not np.isfinite(arr).all():  # one pass; only a failure looks for the index
+        i = int(np.argmin(np.isfinite(arr).reshape(-1)))
+        where = f"{at[0]} = {float(at[1][i])!r}" if at else f"index {i}"
+        raise error(f"{name} has a non-finite value at {where}")
+    return arr
+
+
 # _as_float's bound and error for a spacing, interval, rate, period, extent or width.
 _INTERVAL = {"error": NonPositiveInterval, "above": 0.0}
 
@@ -169,11 +185,11 @@ class Waveform:
     a nonzero imaginary part raises RealTagViolation here, once.
 
     The other invariants are checked here too, and operations never
-    re-check them: NonPositiveInterval unless 0 < sample_interval < inf with
-    a finite span len * sample_interval, EmptySamples for no samples,
-    InvalidParameter for an unknown tag or a start_time whose first or last
-    sample time is not finite.  An integer too large for a float counts as
-    infinite.
+    re-check them: NonFiniteSample unless every sample is finite,
+    NonPositiveInterval unless 0 < sample_interval < inf with a finite span
+    len * sample_interval, EmptySamples for no samples, InvalidParameter for
+    an unknown tag or a start_time whose first or last sample time is not
+    finite.  An integer too large for a float counts as infinite.
 
     A real-tagged waveform owns its samples: a complex128 array passed in is
     copied, so later writes to it cannot break the tag.  Other samples are
@@ -187,7 +203,7 @@ class Waveform:
     tag: str | None = None
 
     def __post_init__(self):
-        given = np.asarray(self.samples, dtype=np.complex128)
+        given = _as_array("samples", self.samples, np.complex128, NonFiniteSample)
         real = bool(np.all(given.imag == 0.0))
         if self.tag is None:
             object.__setattr__(self, "tag", REAL if real else COMPLEX)
@@ -236,17 +252,17 @@ class Spectrum:
     the midpoint wrap to negative frequencies.  ``centered`` in transforms
     reorders for display only.
 
-    Built with at least one bin (else EmptyBins), 0 < bin_spacing < inf, a
-    finite span len * bin_spacing and a finite record length 1 / bin_spacing
-    (else NonPositiveInterval, also for an integer too large for a float);
-    operations never re-check these.
+    Built with finite bins (else NonFiniteSample), at least one (else
+    EmptyBins), 0 < bin_spacing < inf, a finite span len * bin_spacing and a
+    finite record length 1 / bin_spacing (else NonPositiveInterval, also for
+    an integer too large for a float); operations never re-check these.
     """
 
     bins: np.ndarray
     bin_spacing: float
 
     def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=np.complex128).reshape(-1)
+        arr = _as_array("bins", self.bins, np.complex128, NonFiniteSample).reshape(-1)
         if arr.size == 0:
             raise EmptyBins("spectrum has no bins")
         spacing = _as_float("bin_spacing", self.bin_spacing, arr.size, **_INTERVAL)
@@ -263,18 +279,19 @@ class Spectrum:
 class ImpulseTrain:
     """Weighted impulses on a time or frequency axis.
 
-    ``impulses`` is a tuple of (location, weight) pairs with strictly
-    increasing locations.  Impulses are never evaluated pointwise; they are
-    consumed by sifting and synthesis operations.
+    ``impulses`` is a tuple of (location, weight) pairs, finite (else
+    InvalidParameter), with strictly increasing locations.  Impulses are
+    never evaluated pointwise; sifting and synthesis operations consume them.
     """
 
     impulses: tuple[tuple[float, complex], ...]
     domain: str = TIME
 
     def __post_init__(self):
-        pairs = tuple((float(loc), complex(wt)) for loc, wt in self.impulses)
-        pairs = tuple(sorted(pairs, key=lambda p: p[0]))
-        locs = [p[0] for p in pairs]
+        pairs = [(loc, wt) for loc, wt in self.impulses]
+        locs = _as_array("impulse locations", [p[0] for p in pairs]).tolist()
+        weights = _as_array("impulse weights", [p[1] for p in pairs], complex).tolist()
+        pairs = tuple(sorted(zip(locs, weights), key=lambda p: p[0]))
         if len(set(locs)) != len(locs):
             raise InvalidParameter("impulse locations must be distinct")
         if self.domain not in (TIME, FREQUENCY):
@@ -302,7 +319,8 @@ class SegmentedFunction:
     segments: tuple[tuple[float, float, Callable[[float], float]], ...]
 
     def __post_init__(self):
-        segs = tuple((float(a), float(b), m) for a, b, m in self.segments)
+        segs = tuple((_as_float("segment start", a), _as_float("segment end", b), m)
+                     for a, b, m in self.segments)
         segs = tuple(sorted(segs, key=lambda s: s[0]))
         for a, b, _ in segs:
             if not b > a:
@@ -318,9 +336,10 @@ def segmented_eval(s: SegmentedFunction, x: float) -> float:
 
     Interior points use the covering piece; a junction shared by two pieces
     yields the mean of both; a boundary next to the implicit zero region
-    yields half the one-sided value; everywhere else the value is 0.
+    yields half the one-sided value; everywhere else the value is 0.  x must
+    be finite (else InvalidParameter).
     """
-    x = float(x)
+    x = _as_float("x", x)
     touching = []
     for a, b, m in s.segments:
         if a < x < b:

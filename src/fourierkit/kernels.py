@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ImpulseTrain, TIME, _INTERVAL, _as_count, _as_float, _eval_map, _match
+from .core import ImpulseTrain, TIME, _INTERVAL, _as_array, _as_count, _as_float, _eval_map, _match
 
 # Below this, sin(theta/2) is treated as zero and the kernel's limit is used.
 _SINGULAR = 1e-12
@@ -20,7 +20,7 @@ _SINGULAR = 1e-12
 def dirichlet_sum(i: int, theta) -> float:
     """Truncated cosine kernel 1/2 + sum_{m=1..i} cos(m*theta)."""
     i = _as_count("order", i, least=0)
-    th = np.asarray(theta, dtype=float)
+    th = _as_array("theta", theta)
     m = np.arange(1, i + 1)
     out = 0.5 + np.cos(np.multiply.outer(th, m)).sum(axis=-1)
     return _match(theta, out, float)
@@ -37,7 +37,7 @@ def dirichlet_closed(i: int, theta) -> float:
     quotient is replaced by its limit i + 1/2.
     """
     i = _as_count("order", i, least=0)
-    th = np.asarray(theta, dtype=float)
+    th = _as_array("theta", theta)
     ph = th - 2.0 * np.pi * np.round(th / (2.0 * np.pi))
     half = np.sin(ph / 2.0)
     singular = np.abs(half) < _SINGULAR
@@ -49,7 +49,7 @@ def dirichlet_closed(i: int, theta) -> float:
 def rect(t, width: float = 1.0):
     """Rectangle of unit height: 1 inside (-w/2, w/2), 1/2 at the edges."""
     width = _as_float("width", width, **_INTERVAL)
-    at = np.abs(np.asarray(t, dtype=float))
+    at = np.abs(_as_array("t", t))
     half = width / 2.0
     out = np.where(at < half, 1.0, np.where(at == half, 0.5, 0.0))
     return _match(t, out, float)
@@ -57,7 +57,7 @@ def rect(t, width: float = 1.0):
 
 def sinc(u):
     """Normalized sinc sin(pi u)/(pi u) with sinc(0) = 1."""
-    arr = np.asarray(u, dtype=float)
+    arr = _as_array("u", u)
     pu = np.pi * np.where(arr == 0.0, 1.0, arr)
     out = np.where(arr == 0.0, 1.0, np.sin(pu) / pu)
     return _match(u, out, float)
@@ -66,12 +66,12 @@ def sinc(u):
 def sinc_scaled(u, width: float):
     """Transform of a width-`width` rectangle: width * sinc(width * u)."""
     width = _as_float("width", width, **_INTERVAL)
-    return width * sinc(np.multiply(u, width))
+    return width * sinc(np.multiply(_as_array("u", u), width))
 
 
 def step(x):
     """Unit step: 0 for x < 0, 1 for x > 0, 1/2 at x = 0."""
-    arr = np.asarray(x, dtype=float)
+    arr = _as_array("x", x)
     out = np.where(arr < 0.0, 0.0, np.where(arr > 0.0, 1.0, 0.5))
     return _match(x, out, float)
 

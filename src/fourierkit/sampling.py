@@ -21,6 +21,7 @@ from .core import (
     REAL,
     Waveform,
     _INTERVAL,
+    _as_array,
     _as_count,
     _as_float,
     _eval_map,
@@ -28,14 +29,6 @@ from .core import (
 )
 from .kernels import rect
 from .transforms import _fft_raw
-
-
-def _require_finite(vals: np.ndarray, at: np.ndarray, name: str) -> None:
-    """Raise NonFiniteSample at the first point of ``at`` whose value is not finite."""
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise NonFiniteSample(f"map produced a non-finite value at {name} = "
-                              f"{float(at[np.argmax(bad)])!r}")
 
 
 def sample(map: Callable[[float], complex], sample_interval: float, count: int,
@@ -54,8 +47,7 @@ def sample(map: Callable[[float], complex], sample_interval: float, count: int,
     start = _as_float("start_time", start_time)
     _require_finite_times(start, interval, count)
     ts = start + interval * np.arange(count)
-    vals = _eval_map(map, ts, complex)
-    _require_finite(vals, ts, "t")
+    vals = _as_array("map", _eval_map(map, ts, complex), complex, NonFiniteSample, at=("t", ts))
     return Waveform(vals, interval, start)
 
 
@@ -174,8 +166,8 @@ def sample_spectrum(spectrum_map: Callable[[float], complex], bin_spacing: float
     count = _as_count("count", count, 8)  # two periods of 4 * count samples
     ks = np.arange(-(count // 2), count - count // 2)
     freqs = ks * bin_spacing
-    weights = _eval_map(spectrum_map, freqs, complex)
-    _require_finite(weights, freqs, "f")
+    weights = _as_array("spectrum_map", _eval_map(spectrum_map, freqs, complex), complex,
+                        NonFiniteSample, at=("f", freqs))
     train = ImpulseTrain(tuple(zip(freqs.tolist(), weights.tolist())), domain=FREQUENCY)
 
     per_period = 4 * count

@@ -19,7 +19,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import InvalidParameter, _INTERVAL, _as_count, _as_float, _eval_map, _frozen, _match
+from .core import (InvalidParameter, _INTERVAL, _as_array, _as_count, _as_float, _eval_map,
+                   _frozen, _match)
 from .transforms import QuadratureSpec, _fft_raw
 
 _BLOCK_ENTRIES = 2_000_000  # entries per block of series_synthesize's angle matrices
@@ -40,14 +41,14 @@ class SeriesCoefficients:
     converged: tuple[bool, ...] = ()
 
     def __post_init__(self):
-        cos = np.asarray(self.cosine, dtype=float).reshape(-1)
-        sin = np.asarray(self.sine, dtype=float).reshape(-1)
+        cos = _as_array("cosine", self.cosine).reshape(-1)
+        sin = _as_array("sine", self.sine).reshape(-1)
         if cos.size != sin.size:
             raise InvalidParameter("cosine and sine coefficient counts differ")
         object.__setattr__(self, "period", _as_float("period", self.period, **_INTERVAL))
         object.__setattr__(self, "cosine", _frozen(cos))
         object.__setattr__(self, "sine", _frozen(sin))
-        object.__setattr__(self, "a0", float(self.a0))
+        object.__setattr__(self, "a0", _as_float("a0", self.a0))
 
     @property
     def harmonics(self) -> int:
@@ -154,7 +155,7 @@ def half_series_coefficients(map: Callable[[float], float], extent: float, kind:
 def series_synthesize(c: SeriesCoefficients, t) -> float:
     """Partial sum a0 + sum_n a_n cos(2 pi n t / P) + b_n sin(2 pi n t / P),
     in blocks of points so the (points, K) angle matrices never exist whole."""
-    ts = np.asarray(t, dtype=float)
+    ts = _as_array("t", t)
     out = np.full(ts.size, c.a0)
     if c.harmonics:
         flat, m = ts.reshape(-1), np.arange(1, c.harmonics + 1)

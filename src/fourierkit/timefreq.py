@@ -21,6 +21,7 @@ from .core import (
     TFDistribution,
     Waveform,
     ZeroEnergy,
+    _as_array,
     _as_count,
     _as_float,
     _gaussian_width_ok,
@@ -53,7 +54,7 @@ def analytic_signal(w: Waveform) -> Waveform:
 
 def gabor_atom_eval(g: GaborAtom, t):
     """Atom value exp(-alpha^2 (t - t0)^2) * cis(2 pi f0 t + phase)."""
-    ts = np.asarray(t, dtype=float)
+    ts = _as_array("t", t)
     out = np.exp(-(g.alpha ** 2) * (ts - g.t0) ** 2
                  + 1j * (2.0 * np.pi * g.f0 * ts + g.phase))
     return _match(t, out, complex)
@@ -66,7 +67,7 @@ def gabor_atom_spectrum(g: GaborAtom, f):
     value; that constant is dropped so the envelope peaks at 1, leaving
     exp(-(pi/alpha)^2 (f - f0)^2) * cis(phase - 2 pi t0 (f - f0)).
     """
-    fs = np.asarray(f, dtype=float)
+    fs = _as_array("f", f)
     df = fs - g.f0
     out = np.exp(-((np.pi / g.alpha) ** 2) * df ** 2
                  + 1j * (g.phase - 2.0 * np.pi * g.t0 * df))
@@ -102,9 +103,9 @@ def stft(w: Waveform, window_alpha: float, hop: int, frame: int) -> TFDistributi
     offsets = (np.arange(frame) - half) * w.sample_interval
     if window_alpha == 0.0:
         window = np.ones(frame)
-    else:
-        window = np.exp(-(window_alpha ** 2) * offsets ** 2)
-        window[np.abs(offsets) > 4.0 / window_alpha] = 0.0
+    else:  # zero past 4 / alpha, where the square of an offset could overflow
+        window, inside = np.zeros(frame), np.abs(offsets) <= 4.0 / window_alpha
+        window[inside] = np.exp(-(window_alpha ** 2) * offsets[inside] ** 2)
 
     starts = np.arange(0, n - frame + 1, hop)
     rows = _fft_raw(sliding_window_view(w.samples, frame)[::hop] * window)

@@ -339,7 +339,8 @@ def _bin_frequency(k, n: int, sample_rate: float):
     """Frequency in Hz of bin k (an int or int array): k*Fs/N below the midpoint, negative above."""
     if n < 1:
         raise EmptyBins(f"bin count must be >= 1, got {n}")
-    sample_rate = _as_float("sample_rate", sample_rate, **_INTERVAL)
+    # n // 2 is the largest |k|: bound the product before it is divided
+    sample_rate = _as_float("sample_rate", sample_rate, n // 2, **_INTERVAL)
     return np.where(k < (n + 1) // 2, k, k - n) * sample_rate / n
 
 

@@ -197,9 +197,10 @@ _HUGE = "100000000000000000"
     (["series", "--gen", "sine", "--period", "1", "--k", "2", "--synthesize", _HUGE], 1),
     (["atoms", "--t0", "0", "--f0", "1", "--alpha", "2", "--points", _HUGE], 1),
     (["reconstruct", "--gen", "dc", "--n", "4", "--grid", _HUGE], 1),
+    # a rate whose bin frequencies overflow is refused, with no warning
+    (["transform", "--gen", "sine", "--f", "1", "--fs", "1e308", "--n", "8"], 1),
+    (["transform", "--gen", "dc", "--fs", "1e308", "--n", "8"], 1),
     # finite flags whose table overflows: numpy warns (an open item), the run fails
-    pytest.param(["transform", "--gen", "sine", "--f", "1", "--fs", "1e308", "--n", "8"], 1,
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     pytest.param(["atoms", "--t0", "1e308", "--f0", "1", "--alpha", "1", "--points", "3"], 1,
                  marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     # generator flags whose phase overflows are refused before sampling, with no warning
@@ -209,8 +210,8 @@ _HUGE = "100000000000000000"
      1),
 ], ids=["transform", "series", "sample", "reconstruct", "stft", "wvd", "atoms", "huge-sample",
         "huge-transform", "huge-series-k", "huge-series-synthesize", "huge-atoms",
-        "huge-reconstruct", "inf-freq-column", "nan-atom-cells", "huge-square-phase",
-        "huge-sine-phase", "huge-chirp-sweep"])
+        "huge-reconstruct", "inf-freq-column", "huge-bin-rate", "nan-atom-cells",
+        "huge-square-phase", "huge-sine-phase", "huge-chirp-sweep"])
 def test_failed_run_leaves_the_output_untouched(tmp_path, monkeypatch, capsys, argv, want):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.csv").write_text("re\n1\nx\n", encoding="utf-8")
@@ -451,6 +452,23 @@ def test_one_time_row_without_fs_says_it_sets_no_rate(tmp_path, capsys):
     assert code == 1
     assert "one time_s row sets no sample rate; pass --fs" in err
     assert "no time_s column" not in err
+
+
+def test_one_freq_row_with_fs_gives_the_bin_spacing(tmp_path, capsys):
+    src = tmp_path / "spec.csv"
+    src.write_text("freq_hz,re,im\n0,1,0\n", encoding="utf-8")
+    code, out, _ = run(["transform", "--inverse", str(src), "--fs", "2"], capsys)
+    assert code == 0
+    assert out == "index,time_s,re,im\n0,0,1,0\n"
+
+
+def test_one_freq_row_without_fs_says_it_sets_no_spacing(tmp_path, capsys):
+    src = tmp_path / "spec.csv"
+    src.write_text("freq_hz,re,im\n0,1,0\n", encoding="utf-8")
+    code, _, err = run(["transform", "--inverse", str(src)], capsys)
+    assert code == 1
+    assert "one freq_hz row sets no bin spacing; pass --fs" in err
+    assert "no freq_hz column" not in err
 
 
 @pytest.mark.parametrize("content", [

@@ -20,6 +20,7 @@ from fourierkit import (
     ImpulseTrain,
     InvalidParameter,
     LengthMismatch,
+    NonFiniteSample,
     NonPositiveInterval,
     ParseError,
     REAL,
@@ -91,6 +92,15 @@ def test_spectrum_rejects_no_bins_and_bad_spacing():
             Spectrum([1.0, 2.0], bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", [Waveform, Spectrum])
+def test_samples_and_bins_must_be_finite(kind, bad):
+    with pytest.raises(NonFiniteSample, match="at index 1"):
+        kind([1.0, bad, 2.0], 1.0)
+    with pytest.raises(NonFiniteSample, match="at index 0"):
+        kind(np.array([complex(0.0, bad)]), 1.0)
+
+
 def test_validate_waveform_rejects_false_real_tag():
     with pytest.raises(RealTagViolation):
         validate_waveform(Waveform([1.0 + 2.0j], 1.0, tag=REAL))
@@ -145,11 +155,15 @@ def test_errors_subclass_builtin_families():
 def test_bad_arguments_raise_invalid_parameter():
     from fourierkit import (InvalidParameter, QuadratureSpec, SeriesCoefficients,
                             alias_frequency, bin_frequencies, bin_to_frequency, dirichlet_closed,
-                            dirichlet_sum, dtft_eval, half_series_coefficients, half_transform,
-                            make_comb, quad_ft, sample, sample_spectrum, series_coefficients,
-                            sinc_reconstruct, stft, window_rect)
+                            dirichlet_sum, dtft_eval, gabor_atom_eval, gabor_atom_spectrum,
+                            half_series_coefficients, half_transform, make_comb, quad_ft, rect,
+                            sample, sample_spectrum, series_coefficients, series_synthesize,
+                            sinc, sinc_reconstruct, sinc_scaled, step, stft, window_rect)
     f = lambda x: 1.0  # noqa: E731
     window = QuadratureSpec(0.0, 1.0)
+    atom = GaborAtom(0.0, 1.0, 1.0)
+    coeffs = SeriesCoefficients(0.5, [1.0], [0.0], 1.0)
+    pieces = SegmentedFunction(((0.0, 1.0, f),))
     calls = [
         lambda: series_coefficients(f, 1.0, -1),
         lambda: half_series_coefficients(f, 1.0, "both", 3),
@@ -251,6 +265,30 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: window_rect(Waveform(np.ones(4), 1.0), 2.0, math.nan),
         lambda: window_rect(Waveform(np.ones(4), 1.0), 2.0, -math.inf),
         lambda: stft(Waveform(np.ones(8), 1.0), 10 ** 400, 1, 4),
+        # every array argument and value-type array is finite, and a huge integer in one
+        # is no bare OverflowError
+        *(lambda bad=bad, call=call: call(bad)
+          for bad in (10 ** 400, math.nan, [0.0, 10 ** 400], [0.0, math.nan], math.inf)
+          for call in (lambda x: dirichlet_sum(2, x), lambda x: dirichlet_closed(2, x),
+                       rect, sinc, lambda x: sinc_scaled(x, 2.0), step,
+                       lambda x: gabor_atom_eval(atom, x), lambda x: gabor_atom_spectrum(atom, x),
+                       lambda x: series_synthesize(coeffs, x))),
+        lambda: segmented_eval(pieces, 10 ** 400),
+        lambda: segmented_eval(pieces, math.nan),
+        lambda: segmented_eval(pieces, math.inf),
+        lambda: ImpulseTrain(((math.nan, 1.0),)),
+        lambda: ImpulseTrain(((0.0, 1.0), (10 ** 400, 1.0))),
+        lambda: ImpulseTrain(((0.0, math.nan),)),
+        lambda: ImpulseTrain(((0.0, complex(1.0, math.inf)),)),
+        lambda: ImpulseTrain(((0.0, 10 ** 400),)),
+        lambda: make_comb(1.0, 3, weight=math.nan),
+        lambda: make_comb(1.0, 3, weight=10 ** 400),
+        lambda: SegmentedFunction(((0.0, 10 ** 400, f),)),
+        lambda: SegmentedFunction(((math.nan, 1.0, f),)),
+        lambda: SeriesCoefficients(math.nan, [], [], 1.0),
+        lambda: SeriesCoefficients(10 ** 400, [], [], 1.0),
+        lambda: SeriesCoefficients(0.0, [math.inf], [0.0], 1.0),
+        lambda: SeriesCoefficients(0.0, [0.0], [10 ** 400], 1.0),
     ]
     for call in calls:
         with pytest.raises(InvalidParameter) as info:
@@ -305,6 +343,9 @@ def _map_never_called(t):
     ("Waveform", ([1.0], 10 ** 400)),
     ("sample", (_map_never_called, 10 ** 400, 4)),
     ("Spectrum", ([1.0], 10 ** 400)),
+    # a finite rate whose largest bin frequency overflows
+    ("bin_frequencies", (4, 1e308)),
+    ("bin_to_frequency", (2, 4, 1e308)),
 ])
 def test_intervals_must_be_finite(name, args):
     import fourierkit

@@ -206,6 +206,13 @@ def test_stft_equals_per_frame_reference(n, alpha, hop, frame):
     assert np.array_equal(dist.time_axis, times)
 
 
+def test_stft_window_is_zero_where_its_offsets_would_overflow():
+    # offsets of 1e300 lie far outside the 4 / alpha support, and squaring them
+    # would overflow: pytest turns that warning into an error
+    dist = stft(Waveform(np.ones(8), 1e300), 1.0, 1, 4)
+    assert not dist.values.any() and np.isfinite(dist.freq_axis).all()
+
+
 def test_stft_validation():
     w = Waveform(np.ones(16), 1.0)
     with pytest.raises(FrameTooLong):
