@@ -170,11 +170,15 @@ def uncertainty_product(w: Waveform) -> UncertaintyProduct:
     grid; sigma_f the RMS width of |X(f)|^2 on an eight-fold zero-padded
     transform grid.  For a well-resolved Gaussian envelope on a carrier the
     product approaches 1/(4 pi), the smallest value any waveform attains.
+    The waveform is scaled to a peak magnitude of 1 first, so the result
+    does not depend on its amplitude.
     """
     psi = analytic_signal(w).samples if w.tag == REAL else w.samples
-    energy = float(np.sum(np.abs(psi) ** 2))
-    if energy == 0.0:
+    peak = float(np.max(np.abs(psi)))
+    if peak == 0.0:
         raise ZeroEnergy("uncertainty product of an all-zero waveform")
+    psi = psi / peak  # at a peak of 1, |psi|^2 neither overflows nor underflows to 0
+    energy = float(np.sum(np.abs(psi) ** 2))
 
     ts = w.times
     pt = np.abs(psi) ** 2 / energy

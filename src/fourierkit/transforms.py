@@ -5,7 +5,7 @@ reference path; ``fft`` runs one batched core that transforms the last axis
 of a (..., N) array.  A length N = 2^a 3^b 5^c 7^d runs as mixed-radix
 stages of radix 16, 9, 25 or 7 and one each of 8/4/2, 3 and 5 for what is
 left, each one stacked matrix product with the r-point DFT matrix plus
-twiddles from small cached tables.  Any other length runs as a chirp
+twiddles from cached tables.  Any other length runs as a chirp
 convolution padded to the cheapest such length, three transforms of that
 length.  The time-frequency layer hands the core all of its frames in one
 call.  The core computes forward transforms only, unscaled; an inverse is
@@ -25,6 +25,7 @@ what is left on its leftmost intervals.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -128,10 +129,45 @@ def _plan(n: int) -> tuple[int, ...] | None:
     return tuple(full + rest) if n == 1 else None
 
 
-@lru_cache(maxsize=512)
-def _twiddle(m: int, rows: int, step: int, r: int) -> np.ndarray:
+# Bytes of twiddle tables kept between calls.  The tables of an n-point plan
+# hold about n/r1 + n/r2 entries, r1 and r2 its first two radices: 1 MiB near
+# 2^19.  A pass of the lib-spectra benchmark, whose 16 largest transforms pad
+# to about a dozen lengths between 2.7e5 and 2^19, builds 10-12 MiB of them.
+_TWIDDLE_BYTES = 32 << 20
+
+
+class _TableCache(dict):
+    """Twiddle tables by key, each built by ``build(*key)`` on first use and
+    kept while the bytes they hold stay within ``limit``, the oldest going
+    first past it: a transform's tables grow with its length, so a bound by
+    count would not bound memory.  A hit is one dict lookup.  ``nbytes`` is
+    what it holds; ``cache_clear`` empties it."""
+
+    def __init__(self, build: Callable[..., np.ndarray], limit: int):
+        super().__init__()
+        self._build, self._limit = build, limit
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def __missing__(self, key: tuple) -> np.ndarray:
+        table = self._build(*key)
+        with self._lock:
+            if key not in self:
+                self[key] = table
+                self.nbytes += table.nbytes
+            while self.nbytes > self._limit:  # a table above the bound is not kept
+                self.nbytes -= self.pop(next(iter(self))).nbytes
+        return table
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self.clear()
+            self.nbytes = 0
+
+
+def _twiddle_table(m: int, rows: int, step: int, r: int) -> np.ndarray:
     """Table exp(-i 2 pi (j * step * k mod m) / m) of shape (r, rows), indexed
-    [k, j], immutable once built; ``_twiddle(r, r, 1, r)`` is the r-point DFT
+    [k, j], immutable once built; ``_twiddle[r, r, 1, r]`` is the r-point DFT
     matrix.  The angle is reduced in integers to the nearest quarter turn,
     whose factor is exact, and a remainder of at most an eighth of a turn."""
     j = np.arange(rows, dtype=np.int64)
@@ -144,6 +180,9 @@ def _twiddle(m: int, rows: int, step: int, r: int) -> np.ndarray:
     return w
 
 
+_twiddle = _TableCache(_twiddle_table, _TWIDDLE_BYTES)
+
+
 def _fft_smooth(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
     """Forward Cooley-Tukey transform of the last axis, whose length n must
     have a ``_plan``, in one stage per radix of the plan.
@@ -152,12 +191,16 @@ def _fft_smooth(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
     radix r, t2 the rest of the sub-transform's time index, and done the
     output digits found so far.  One stacked matmul with the r-point DFT
     matrix contracts t1 into the output digit k1.  The twiddles
-    exp(-i 2 pi t2 k1 / m) of the length-m sub-transform then apply in place
-    as two small factors, split at the next stage's leading digit of t2, and
-    one copy stores the row as (t2, k1, done) so that digit leads.  The last
-    stage needs no twiddles and leaves the row in natural order.  Every
-    stage writes into the same two buffers: ``out``, which receives the
-    result, and ``work``, each a C-contiguous complex128 array of x's size.
+    exp(-i 2 pi t2 k1 / m) of the length-m sub-transform then apply, and the
+    row is stored as (t2, k1, done) so that the next stage's digit leads.
+    From the second stage on, that is one multiply by an m-entry table
+    straight into the transposed store, whose contiguous runs are ``done``
+    points.  The first stage's runs are one point, so it twiddles in place,
+    by two small factors split at the next stage's leading digit of t2, and
+    stores the row with one plain copy.  The last stage needs no twiddles
+    and leaves the row in natural order.  Every stage writes into the same
+    two buffers: ``out``, which receives the result, and ``work``, each a
+    C-contiguous complex128 array of x's size.
     Only the first stage reads x, so x may serve as ``work`` when it may be
     overwritten; otherwise x is left unchanged.
     The batch stays out of the matmul's column count: every row runs the
@@ -169,18 +212,23 @@ def _fft_smooth(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
     spec, store = out.reshape(batch, n), work.reshape(batch, n)
     src, m, done = x.reshape(batch, n), n, 1
     for r, lead in zip(plan, plan[1:] + (1,)):
-        np.matmul(_twiddle(r, r, 1, r), src.reshape(batch, r, n // r),
+        np.matmul(_twiddle[r, r, 1, r], src.reshape(batch, r, n // r),
                   out=spec.reshape(batch, r, n // r))
         if lead == 1:
             return
         rest = m // r
         low = rest // lead
         y = spec.reshape(batch, r, lead, low, done)
-        y *= _twiddle(m, lead, low, r)[:, :, None, None]
-        y *= _twiddle(m, low, 1, r)[:, None, :, None]
-        # a plain copy moves the digit; a ufunc writing through the transposed
-        # view is several times slower on large rows
-        np.copyto(store.reshape(batch, lead, low, r, done).transpose(0, 3, 1, 2, 4), y)
+        moved = store.reshape(batch, lead, low, r, done).transpose(0, 3, 1, 2, 4)
+        if done == 1:
+            # the moved rows' contiguous run is one point here, where a ufunc
+            # writing through the transposed view is several times slower
+            # than twiddling in place and a plain copy
+            y *= _twiddle[m, lead, low, r][:, :, None, None]
+            y *= _twiddle[m, low, 1, r][:, None, :, None]
+            np.copyto(moved, y)
+        else:
+            np.multiply(y, _twiddle[m, rest, 1, r].reshape(r, lead, low, 1), out=moved)
         src, m, done = store, rest, done * r
 
 

@@ -461,6 +461,14 @@ def test_sharp_envelope_exceeds_gaussian_product():
     assert uncertainty_product(gate).product > gauss.product
 
 
+@pytest.mark.parametrize("amplitude", [1e-200, 1e200])
+def test_uncertainty_product_does_not_depend_on_the_amplitude(amplitude):
+    # |psi|^2 underflowed to an all-zero energy at 1e-200 and overflowed at 1e200
+    w = _gauss_tone(1.0, 8.0, 8.0, 64.0, 1024)
+    up = uncertainty_product(Waveform(amplitude * w.samples, w.sample_interval))
+    assert up == pytest.approx(uncertainty_product(w), rel=1e-12)
+
+
 def test_uncertainty_rejects_zero_energy():
     with pytest.raises(ZeroEnergy):
         uncertainty_product(Waveform(np.zeros(16), 0.1))

@@ -141,6 +141,48 @@ def test_large_fft_matches_numpy(n):
         assert np.max(np.abs(ours(x) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+# plans of four and five stages, whose later stages twiddle as they move their
+# digit, among them the padded lengths of Bluestein transforms between 2^17
+# and 2^18; then two such Bluestein lengths, three padded transforms each
+@pytest.mark.parametrize("n, bound", [
+    *((n, 1e-15) for n in (8192, 6561, 48000, 44100, 2 ** 18, 437500, 455625, 480000,
+                           490000, 500000, 518400)),
+    *((n, 2e-15) for n in (214789, 244333))])
+def test_one_pass_stages_stay_close_to_numpy(n, bound):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for ours, oracle in ((_fft_raw, np_fft), (_ifft_raw, np_ifft)):
+        want = oracle(x)
+        assert np.max(np.abs(ours(x) - want)) <= bound * np.max(np.abs(want))
+
+
+def test_twiddle_cache_stays_within_its_byte_bound():
+    # 200 smooth lengths near 2^19 hold about 1 MiB of tables each
+    _twiddle.cache_clear()
+    near = _SMOOTH[np.argsort(np.abs(_SMOOTH - 2 ** 19), kind="stable")[:200]]
+    for n in near.tolist():
+        _fft_raw(np.ones(n, dtype=np.complex128))
+        assert _twiddle.nbytes <= transforms._TWIDDLE_BYTES
+    assert _twiddle.nbytes > transforms._TWIDDLE_BYTES // 2
+
+
+def test_a_length_transformed_twice_builds_its_tables_once(monkeypatch):
+    built, table = [], transforms._twiddle_table
+
+    def build(*key):
+        built.append(key)
+        return table(*key)
+
+    x = np.random.default_rng(22).standard_normal(490000) + 1j
+    _twiddle.cache_clear()
+    monkeypatch.setattr(_twiddle, "_build", build)
+    first = _fft_raw(x)
+    assert len(built) == len(set(built)) > 0
+    held = _twiddle.nbytes
+    assert np.array_equal(_fft_raw(x), first)
+    assert len(built) == len(set(built)) and _twiddle.nbytes == held
+
+
 _RADICES = {16, 8, 4, 2, 9, 3, 25, 5, 7}
 _RADIX_CASES = [3, 5, 7, 9, 25, 49, 60, 210, 1000, 44100, 48000, 3 * 2 ** 16]
 
@@ -265,17 +307,19 @@ def test_two_table_chirp_is_as_close_to_the_exact_chirp_as_direct_exponentials(n
 
 
 # sha256 of the transforms of power-of-two inputs (numpy 2.4 with OpenBLAS on
-# x86-64).  The forward digests are the radix-16 kernel's from before
-# mixed-radix plans: a power of two keeps its stages, so it keeps its bits.
-# The inverse digests are those of the forward transform read backwards and
-# divided by n.
+# x86-64).  64 has two stages, so its forward digest is still the radix-16
+# kernel's from before mixed-radix plans.  2^16 and 2^18 have four and five
+# stages, and from the second stage on each one applies its twiddles as one
+# m-entry table in the pass that moves its digit, which rounds otherwise than
+# two factors: their digests are those of the one-pass stages.  The inverse
+# digests are those of the forward transform read backwards and divided by n.
 _POW2_DIGESTS = {
     64: ("a82b2d3c32f4e09ebe418b731a64b848e5661d32e8f67d895ccc827bace7f299",
          "0eec51c5e2d5bf64cbff4c7b0c0a044609f85b6bcd5c4bf0aa5c07242af7e216"),
-    2 ** 16: ("b4ad7e59cf5e7675bbea0c6ec3a42f1774547f81d9933b5174317dccc5d8e043",
-              "a6ab4d1a2c5614df27f31a9361044cad24d4b263fa331d029b44b48118b0cb0e"),
-    2 ** 18: ("373829ad516e8138b0d0d49edc6038da064e470321fd32d5679e0bd394fdfc11",
-              "6ce2bfa0b0e7cc30b104cfa4c9c5510a35b840531749c73d4ae17e5205cad1f1"),
+    2 ** 16: ("d0141a1375ea8d5e01c5b1cdfcab953644017066c50e602315b3a7dca5350f1c",
+              "36972b7196c479a64b4063ba2a3c88280da562b60ac26ad81d49b9baffe81fc9"),
+    2 ** 18: ("d9a29b133640abe37e697d642d7e0a301cc30f84655dbb68281c8a80274eccf4",
+              "12c19bdb5ccd15d6ae167a088b221e216c94960c1208c994e9f9d0919adce4a0"),
 }
 
 
