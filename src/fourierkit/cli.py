@@ -26,7 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import config, transforms
-from .core import FourierKitError, GaborAtom, ParseError, Spectrum, Waveform, _as_array, _as_float
+from .core import (FourierKitError, GaborAtom, InvalidParameter, ParseError, Spectrum, Waveform,
+                   _as_array, _as_float)
 
 # Rows formatted per write: bounds the text held in memory for large tables.
 _BLOCK_ROWS = 8192
@@ -407,11 +408,18 @@ def _cmd_atoms(parser, args, settings) -> tuple:
     if args.domain == "time":
         span = 5.0 / atom.alpha
         xs = np.linspace(atom.t0 - span, atom.t0 + span, args.points)
-        value, axis = timefreq.gabor_atom_eval, "t"
+        value, axis, formula = timefreq.gabor_atom_eval, "t", "2*pi*f0*t + phase"
+        ends = [2.0 * math.pi * atom.f0 * t + atom.phase for t in xs[[0, -1]].tolist()]
     else:
         span = 5.0 * atom.alpha / math.pi
         xs = np.linspace(atom.f0 - span, atom.f0 + span, args.points)
-        value, axis = timefreq.gabor_atom_spectrum, "f"
+        value, axis, formula = timefreq.gabor_atom_spectrum, "f", "phase - 2*pi*t0*(f - f0)"
+        ends = [atom.phase - 2.0 * math.pi * atom.t0 * (f - atom.f0) for f in xs[[0, -1]].tolist()]
+    # the phase is linear on the grid, so its two ends, taken in the atom's own order of
+    # operations, decide whether it overflows anywhere
+    if not all(map(math.isfinite, ends)):
+        raise InvalidParameter(f"--t0 {atom.t0!r}, --f0 {atom.f0!r} and --phase {atom.phase!r} "
+                               f"give a phase {formula} that is not finite on the {axis} grid")
     vals = np.array([value(atom, x) for x in xs.tolist()])
     return [axis, "re", "im"], (xs, vals.real, vals.imag), None
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -125,6 +125,8 @@ def _as_float(name: str, value: float, *span: float,
         x = float(value)
     except OverflowError:
         raise error(f"{name} is an integer too large for a float") from None
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a real number, got {value!r}") from None
     if not above < x < math.inf:
         raise error(f"{name} must be in ({above:g}, inf), got {value!r}")
     if span and not math.isfinite(math.prod(span, start=x)):
@@ -141,6 +143,8 @@ def _as_array(name: str, value, kind: type | np.dtype = float,
         arr = np.asarray(value, dtype=kind)
     except OverflowError:
         raise error(f"{name} holds an integer too large for a float") from None
+    except (TypeError, ValueError):
+        raise error(f"{name} must hold {np.dtype(kind).name} numbers") from None
     if not np.isfinite(arr).all():  # one pass; only a failure looks for the index
         i = int(np.argmin(np.isfinite(arr).reshape(-1)))
         where = f"{at[0]} = {float(at[1][i])!r}" if at else f"index {i}"
@@ -275,37 +279,55 @@ class Spectrum:
         return self.bins.size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ImpulseTrain:
     """Weighted impulses on a time or frequency axis.
 
-    ``impulses`` is a tuple of (location, weight) pairs, finite (else
-    InvalidParameter), with strictly increasing locations.  Impulses are
-    never evaluated pointwise; sifting and synthesis operations consume them.
+    Built from (location, weight) pairs, finite (else InvalidParameter) with distinct
+    locations, and held as two read-only arrays sorted by location; ``impulses`` builds
+    the pairs on demand.  Impulses are never evaluated pointwise; sifting and synthesis
+    operations consume them.
     """
 
-    impulses: tuple[tuple[float, complex], ...]
-    domain: str = TIME
+    domain: str
 
-    def __post_init__(self):
-        pairs = [(loc, wt) for loc, wt in self.impulses]
-        locs = _as_array("impulse locations", [p[0] for p in pairs]).tolist()
-        weights = _as_array("impulse weights", [p[1] for p in pairs], complex).tolist()
-        pairs = tuple(sorted(zip(locs, weights), key=lambda p: p[0]))
-        if len(set(locs)) != len(locs):
+    def __init__(self, impulses: Iterable[tuple[float, complex]], domain: str = TIME):
+        pairs = [(loc, wt) for loc, wt in impulses]
+        self._hold([loc for loc, _ in pairs], [wt for _, wt in pairs], domain)
+
+    @classmethod
+    def _of(cls, locations, weights, domain: str) -> ImpulseTrain:
+        return object.__new__(cls)._hold(locations, weights, domain)
+
+    def _hold(self, locations, weights, domain: str) -> ImpulseTrain:
+        """Check and hold every train: the locations, sorted, with their weights or one for all."""
+        locs = _as_array("impulse locations", locations)
+        wts = _as_array("impulse weights", weights, complex)
+        if locs.ndim != 1 or wts.shape not in (locs.shape, ()):
+            raise InvalidParameter("each impulse must be one location and one weight")
+        order = np.argsort(locs, kind="stable")
+        locs = locs[order]
+        if not (np.diff(locs) > 0.0).all():
             raise InvalidParameter("impulse locations must be distinct")
-        if self.domain not in (TIME, FREQUENCY):
-            raise InvalidParameter(f"domain must be 'time' or 'frequency', got {self.domain!r}")
-        object.__setattr__(self, "impulses", pairs)
+        if domain not in (TIME, FREQUENCY):
+            raise InvalidParameter(f"domain must be 'time' or 'frequency', got {domain!r}")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_locs", _frozen(locs))
+        object.__setattr__(self, "_wts", _frozen(np.broadcast_to(wts, locs.shape)[order]))
+        return self
+
+    @property
+    def impulses(self) -> tuple[tuple[float, complex], ...]:
+        return tuple(zip(self._locs.tolist(), self._wts.tolist()))
 
     def locations(self) -> np.ndarray:
-        return np.array([loc for loc, _ in self.impulses], dtype=float)
+        return self._locs
 
     def weights(self) -> np.ndarray:
-        return np.array([wt for _, wt in self.impulses], dtype=np.complex128)
+        return self._wts
 
     def __len__(self) -> int:
-        return len(self.impulses)
+        return self._locs.size
 
 
 @dataclass(frozen=True, eq=False)

@@ -80,7 +80,7 @@ def make_comb(period: float, count: int, weight: complex = 1.0, domain: str = TI
     """Equally weighted impulses at 0, period, ..., (count-1)*period."""
     count = _as_count("count", count)  # fails at once for a huge count
     locations = _as_float("period", period, count - 1, **_INTERVAL) * np.arange(count)
-    return ImpulseTrain(tuple((loc, weight) for loc in locations.tolist()), domain=domain)
+    return ImpulseTrain._of(locations, weight, domain)
 
 
 def sift(train: ImpulseTrain, map: Callable[[float], complex]) -> complex:

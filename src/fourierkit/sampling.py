@@ -168,7 +168,7 @@ def sample_spectrum(spectrum_map: Callable[[float], complex], bin_spacing: float
     freqs = ks * bin_spacing
     weights = _as_array("spectrum_map", _eval_map(spectrum_map, freqs, complex), complex,
                         NonFiniteSample, at=("f", freqs))
-    train = ImpulseTrain(tuple(zip(freqs.tolist(), weights.tolist())), domain=FREQUENCY)
+    train = ImpulseTrain._of(freqs, weights, FREQUENCY)
 
     per_period = 4 * count
     lines = np.zeros(per_period, dtype=np.complex128)

@@ -200,9 +200,10 @@ _HUGE = "100000000000000000"
     # a rate whose bin frequencies overflow is refused, with no warning
     (["transform", "--gen", "sine", "--f", "1", "--fs", "1e308", "--n", "8"], 1),
     (["transform", "--gen", "dc", "--fs", "1e308", "--n", "8"], 1),
-    # finite flags whose table overflows: numpy warns (an open item), the run fails
-    pytest.param(["atoms", "--t0", "1e308", "--f0", "1", "--alpha", "1", "--points", "3"], 1,
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # atom flags whose phase overflows on the grid are refused before evaluation, with no warning
+    (["atoms", "--t0", "1e308", "--f0", "1", "--alpha", "1", "--points", "3"], 1),
+    (["atoms", "--t0", "1e308", "--f0", "1", "--alpha", "1", "--points", "3", "--domain", "freq"],
+     1),
     # generator flags whose phase overflows are refused before sampling, with no warning
     (["sample", "--gen", "square", "--f", "1e308", "--fs", "1", "--n", "4"], 1),
     (["sample", "--gen", "sine", "--f", "1e308", "--fs", "1", "--n", "4"], 1),
@@ -211,7 +212,7 @@ _HUGE = "100000000000000000"
 ], ids=["transform", "series", "sample", "reconstruct", "stft", "wvd", "atoms", "huge-sample",
         "huge-transform", "huge-series-k", "huge-series-synthesize", "huge-atoms",
         "huge-reconstruct", "inf-freq-column", "huge-bin-rate", "nan-atom-cells",
-        "huge-square-phase", "huge-sine-phase", "huge-chirp-sweep"])
+        "nan-atom-cells-freq", "huge-square-phase", "huge-sine-phase", "huge-chirp-sweep"])
 def test_failed_run_leaves_the_output_untouched(tmp_path, monkeypatch, capsys, argv, want):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.csv").write_text("re\n1\nx\n", encoding="utf-8")

@@ -1,6 +1,7 @@
 """Value types: construction, validation, jump conventions, config parsing."""
 
 import ast
+import dataclasses
 import json
 import math
 import re
@@ -99,6 +100,12 @@ def test_samples_and_bins_must_be_finite(kind, bad):
         kind([1.0, bad, 2.0], 1.0)
     with pytest.raises(NonFiniteSample, match="at index 0"):
         kind(np.array([complex(0.0, bad)]), 1.0)
+
+
+@pytest.mark.parametrize("kind", [Waveform, Spectrum])
+def test_samples_and_bins_must_be_numbers(kind):
+    with pytest.raises(NonFiniteSample, match="must hold complex128 numbers"):
+        kind(["a"], 1.0)
 
 
 def test_validate_waveform_rejects_false_real_tag():
@@ -289,6 +296,12 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: SeriesCoefficients(10 ** 400, [], [], 1.0),
         lambda: SeriesCoefficients(0.0, [math.inf], [0.0], 1.0),
         lambda: SeriesCoefficients(0.0, [0.0], [10 ** 400], 1.0),
+        # a value that is not a number, or an impulse that is not one location and one weight
+        lambda: ImpulseTrain(((1j, 1.0),)),
+        lambda: sinc("abc"),
+        lambda: make_comb(1.0, 3, weight="x"),
+        lambda: ImpulseTrain(((1.0, [1.0, 2.0]),)),
+        lambda: ImpulseTrain((([0.0, 1.0], 1.0),)),
     ]
     for call in calls:
         with pytest.raises(InvalidParameter) as info:
@@ -346,6 +359,7 @@ def _map_never_called(t):
     # a finite rate whose largest bin frequency overflows
     ("bin_frequencies", (4, 1e308)),
     ("bin_to_frequency", (2, 4, 1e308)),
+    ("sample", (_map_never_called, 1j, 4)),  # not a real number
 ])
 def test_intervals_must_be_finite(name, args):
     import fourierkit
@@ -463,6 +477,38 @@ def test_impulse_train_sorts_and_checks_duplicates():
         ImpulseTrain(((1.0, 1.0), (1.0, 2.0)))
     with pytest.raises(ValueError):
         ImpulseTrain(((0.0, 1.0),), domain="space")
+
+
+def test_impulse_train_holds_two_read_only_arrays():
+    from fourierkit import sift
+    train = ImpulseTrain([(2.0, 1), (-1.0, 3j), (0.5, -2.0)], domain="frequency")
+    assert train.locations().dtype == np.float64 and train.weights().dtype == np.complex128
+    for held in (train.locations(), train.weights()):
+        with pytest.raises(ValueError):
+            held[0] = 9.0
+    assert train.impulses == ((-1.0, 3j), (0.5, -2.0 + 0j), (2.0, 1.0 + 0j))
+    assert all(type(loc) is float and type(wt) is complex for loc, wt in train.impulses)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        train.domain = "time"
+    empty = ImpulseTrain(())
+    assert len(empty) == 0 and empty.impulses == ()
+    assert sift(empty, np.cos) == 0j and sift(empty, math.cos) == 0j
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 100, 1024])
+def test_built_trains_equal_the_trains_of_their_pairs(count):
+    from fourierkit import make_comb, sample_spectrum, sift
+    maps = [lambda x: np.exp(-x * x) * (1.0 + 0.5j * x), lambda x: complex(math.cos(x), x)]
+    built = [make_comb(0.1, count, weight=2.0 - 1.0j), make_comb(3e-7, count),
+             *(sample_spectrum(m, 0.013, count)[0] for m in maps)]
+    for train in built:
+        # the same pairs, in reverse order, through the public constructor
+        twin = ImpulseTrain(reversed(train.impulses), domain=train.domain)
+        assert twin.domain == train.domain
+        assert twin.locations().tobytes() == train.locations().tobytes()
+        assert twin.weights().tobytes() == train.weights().tobytes()
+        for m in maps:
+            assert np.array(sift(twin, m)).tobytes() == np.array(sift(train, m)).tobytes()
 
 
 def test_segmented_function_rejects_bad_pieces():

@@ -138,27 +138,45 @@ def test_make_comb_validation():
 # Run in a child whose address space is capped, so that a comb built point by
 # point in Python objects fails at the cap instead of growing without end.
 _HUGE_COMB = """
-import resource
+import resource, sys
 cap = 512 << 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from fourierkit import make_comb
 try:
-    make_comb(1.0, 10 ** 17)
+    print(len(make_comb(1.0, int(sys.argv[1]))), end=" ")
 except MemoryError:
-    print("MemoryError", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    print("MemoryError", end=" ")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="needs RLIMIT_AS, and ru_maxrss in KiB")
-def test_make_comb_of_a_huge_count_fails_before_it_grows():
+def _capped_comb(count: int) -> tuple[str, int]:
+    """make_comb(1.0, count) in a capped child: its length or "MemoryError", and its peak KiB."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", _HUGE_COMB], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", _HUGE_COMB, str(count)], env=env,
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    error, peak_kib = proc.stdout.split()
-    assert error == "MemoryError"
-    assert int(peak_kib) < 200 << 10  # about 30 MiB after imports; the cap is 512
+    result, peak_kib = proc.stdout.split()
+    return result, int(peak_kib)
+
+
+_CAPPED = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                             reason="needs RLIMIT_AS, and ru_maxrss in KiB")
+
+
+@_CAPPED
+def test_make_comb_of_a_huge_count_fails_before_it_grows():
+    result, peak_kib = _capped_comb(10 ** 17)
+    assert result == "MemoryError"
+    assert peak_kib < 200 << 10  # about 30 MiB after imports; the cap is 512
+
+
+@_CAPPED
+def test_make_comb_of_a_count_whose_arrays_fit_returns_under_the_cap():
+    # two million impulses are 48 MB of arrays, but about 400 MB as a tuple of Python pairs
+    result, peak_kib = _capped_comb(2 * 10 ** 6)
+    assert result == str(2 * 10 ** 6)
+    assert peak_kib < 300 << 10
 
 
 def test_sift_is_weighted_sample_sum():
