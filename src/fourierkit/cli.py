@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import config, transforms
-from .core import (FourierKitError, GaborAtom, InvalidParameter, ParseError, Spectrum, Waveform,
-                   _as_array, _as_float)
+from .core import (FourierKitError, GaborAtom, ParseError, Spectrum, Waveform, _as_array,
+                   _as_float)
 
 # Rows formatted per write: bounds the text held in memory for large tables.
 _BLOCK_ROWS = 8192
@@ -235,17 +235,16 @@ def _read_spectrum_csv(path: str, fs: float | None) -> Spectrum:
 GENERATORS = ("dc", "impulse", "sine", "square", "chirp", "gabor")
 
 
-def _square_wave(cycles: float) -> float:
-    """Unit square wave at a phase given in cycles, zero exactly at the jumps.
+def _square_wave(cycles: np.ndarray) -> np.ndarray:
+    """Unit square wave at phases given in cycles, zero exactly at the jumps.
 
     sign(sin(2*pi*cycles)) drifts off the jump values in floating point
     (sin(pi) evaluates to ~1.2e-16, so the sign comes out +1 where the
     half-value convention wants 0); folding the phase keeps the jumps exact.
+    ``np.remainder`` folds as Python's float ``%`` does.
     """
-    u = cycles % 1.0
-    if u == 0.0 or u == 0.5:
-        return 0.0
-    return 1.0 if u < 0.5 else -1.0
+    u = np.remainder(cycles, 1.0)
+    return np.where((u == 0.0) | (u == 0.5), 0.0, np.where(u < 0.5, 1.0, -1.0))
 
 
 def _need(parser: argparse.ArgumentParser, args: argparse.Namespace, names: list[str]) -> None:
@@ -273,7 +272,7 @@ def _generated_waveform(parser: argparse.ArgumentParser, args: argparse.Namespac
     if args.gen == "sine":
         _need(parser, args, ["f"])
         f = _as_float("--f", args.f, 2.0 * math.pi, last)
-        return sampling.sample(lambda t: math.sin(2.0 * math.pi * f * t + phase), interval, n)
+        return sampling.sample(lambda t: np.sin(2.0 * math.pi * f * t + phase), interval, n)
     if args.gen == "square":
         _need(parser, args, ["f"])
         f = _as_float("--f", args.f, last)
@@ -285,9 +284,8 @@ def _generated_waveform(parser: argparse.ArgumentParser, args: argparse.Namespac
                   for name, value in (("--f0", args.f0), ("--f1", args.f1)))
         dur = n * interval
         rate = _as_float("--f1 - --f0", f1 - f0, last, 2.0 * math.pi) / (2.0 * dur)
-        return sampling.sample(
-            lambda t: math.cos(2.0 * math.pi * (f0 * t + rate * t * t) + phase),
-            interval, n)
+        return sampling.sample(lambda t: np.cos(2.0 * math.pi * (f0 * t + rate * t * t) + phase),
+                               interval, n)
     if args.gen == "gabor":
         _need(parser, args, ["t0", "f0", "alpha"])
         from . import timefreq
@@ -338,14 +336,14 @@ def _waveform_table(w: Waveform) -> tuple:
             (np.arange(len(w)), w.times, w.samples.real, w.samples.imag), None)
 
 
-def _series_map(parser, args) -> Callable[[float], float]:
+def _series_map(parser, args) -> Callable[[np.ndarray], np.ndarray]:
     period = args.period
     if args.gen == "square":
         return lambda t: _square_wave(t / period)
     if args.gen == "sine":
-        return lambda t: math.sin(2.0 * math.pi * t / period)
+        return lambda t: np.sin(2.0 * math.pi * t / period)
     if args.gen == "dc":
-        return lambda t: 1.0
+        return np.ones_like
     parser.error(f"series supports --gen square|sine|dc, got {args.gen!r}")
 
 
@@ -408,19 +406,11 @@ def _cmd_atoms(parser, args, settings) -> tuple:
     if args.domain == "time":
         span = 5.0 / atom.alpha
         xs = np.linspace(atom.t0 - span, atom.t0 + span, args.points)
-        value, axis, formula = timefreq.gabor_atom_eval, "t", "2*pi*f0*t + phase"
-        ends = [2.0 * math.pi * atom.f0 * t + atom.phase for t in xs[[0, -1]].tolist()]
+        vals, axis = timefreq.gabor_atom_eval(atom, xs), "t"
     else:
         span = 5.0 * atom.alpha / math.pi
         xs = np.linspace(atom.f0 - span, atom.f0 + span, args.points)
-        value, axis, formula = timefreq.gabor_atom_spectrum, "f", "phase - 2*pi*t0*(f - f0)"
-        ends = [atom.phase - 2.0 * math.pi * atom.t0 * (f - atom.f0) for f in xs[[0, -1]].tolist()]
-    # the phase is linear on the grid, so its two ends, taken in the atom's own order of
-    # operations, decide whether it overflows anywhere
-    if not all(map(math.isfinite, ends)):
-        raise InvalidParameter(f"--t0 {atom.t0!r}, --f0 {atom.f0!r} and --phase {atom.phase!r} "
-                               f"give a phase {formula} that is not finite on the {axis} grid")
-    vals = np.array([value(atom, x) for x in xs.tolist()])
+        vals, axis = timefreq.gabor_atom_spectrum(atom, xs), "f"
     return [axis, "re", "im"], (xs, vals.real, vals.imag), None
 
 

@@ -91,6 +91,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return v
 
 
+class _ReadOnlyState:
+    """Base of the value types: a copy or an unpickled value holds its arrays read-only too."""
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            frozen = _frozen(value) if isinstance(value, np.ndarray) else value
+            object.__setattr__(self, name, frozen)
+
+
 def _eval_map(fn: Callable, xs: np.ndarray, kind: type) -> np.ndarray:
     """Values of ``fn`` at the points ``xs`` as a ``kind`` (float or complex)
     array: one call on the whole array when the map takes it and answers one
@@ -147,7 +156,7 @@ def _as_array(name: str, value, kind: type | np.dtype = float,
         raise error(f"{name} must hold {np.dtype(kind).name} numbers") from None
     if not np.isfinite(arr).all():  # one pass; only a failure looks for the index
         i = int(np.argmin(np.isfinite(arr).reshape(-1)))
-        where = f"{at[0]} = {float(at[1][i])!r}" if at else f"index {i}"
+        where = f"{at[0]} = {float(np.ravel(at[1])[i])!r}" if at else f"index {i}"
         raise error(f"{name} has a non-finite value at {where}")
     return arr
 
@@ -180,7 +189,7 @@ def _require_finite_times(start_time: float, sample_interval: float, count: int)
 
 
 @dataclass(frozen=True, eq=False)
-class Waveform:
+class Waveform(_ReadOnlyState):
     """Uniformly sampled signal x(t0 + n*T) for n = 0..N-1.
 
     Samples are stored as complex128 regardless of tag; ``tag == "real"``
@@ -249,7 +258,7 @@ def validate_waveform(w: Waveform) -> Waveform:
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(_ReadOnlyState):
     """Discrete transform output: bin k holds X(k), k = 0..N-1.
 
     Bin ordering follows the transform itself: bin 0 is DC and bins past
@@ -280,7 +289,7 @@ class Spectrum:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class ImpulseTrain:
+class ImpulseTrain(_ReadOnlyState):
     """Weighted impulses on a time or frequency axis.
 
     Built from (location, weight) pairs, finite (else InvalidParameter) with distinct
@@ -397,7 +406,7 @@ class GaborAtom:
 
 
 @dataclass(frozen=True, eq=False)
-class TFDistribution:
+class TFDistribution(_ReadOnlyState):
     """Time-frequency grid: values[i, j] at time_axis[i], freq_axis[j].
 
     ``kind`` is "stft-complex" for short-time spectra or "wvd-real" for the

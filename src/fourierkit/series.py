@@ -19,15 +19,15 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import (InvalidParameter, _INTERVAL, _as_array, _as_count, _as_float, _eval_map,
-                   _frozen, _match)
+from .core import (InvalidParameter, _INTERVAL, _ReadOnlyState, _as_array, _as_count, _as_float,
+                   _eval_map, _frozen, _match)
 from .transforms import QuadratureSpec, _fft_raw
 
 _BLOCK_ENTRIES = 2_000_000  # entries per block of series_synthesize's angle matrices
 
 
 @dataclass(frozen=True, eq=False)
-class SeriesCoefficients:
+class SeriesCoefficients(_ReadOnlyState):
     """Real-form coefficients a0, a_1..a_K, b_1..b_K for one period.
 
     ``converged`` mirrors the coefficient layout (a0, then cosines, then

@@ -53,24 +53,31 @@ def analytic_signal(w: Waveform) -> Waveform:
 
 
 def gabor_atom_eval(g: GaborAtom, t):
-    """Atom value exp(-alpha^2 (t - t0)^2) * cis(2 pi f0 t + phase)."""
+    """Atom value exp(-alpha^2 (t - t0)^2) * cis(2 pi f0 t + phase), the same bits at a point
+    as in an array: 0 where the envelope's exponent overflows, and InvalidParameter naming the
+    first t whose phase is not finite."""
     ts = _as_array("t", t)
-    out = np.exp(-(g.alpha ** 2) * (ts - g.t0) ** 2
-                 + 1j * (2.0 * np.pi * g.f0 * ts + g.phase))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = _as_array("phase 2*pi*f0*t + phase", 2.0 * np.pi * g.f0 * ts + g.phase,
+                          at=("t", ts))
+        d = ts - g.t0
+        out = np.exp(-(g.alpha ** 2) * (d * d) + 1j * phase)
     return _match(t, out, complex)
 
 
 def gabor_atom_spectrum(g: GaborAtom, f):
     """Atom spectrum with unit peak at f0.
 
-    The continuous transform of the atom is (sqrt(pi)/alpha) times this
-    value; that constant is dropped so the envelope peaks at 1, leaving
-    exp(-(pi/alpha)^2 (f - f0)^2) * cis(phase - 2 pi t0 (f - f0)).
+    The continuous transform of the atom is (sqrt(pi)/alpha) times this value; that
+    constant is dropped so the envelope peaks at 1, leaving exp(-(pi/alpha)^2 (f - f0)^2)
+    * cis(phase - 2 pi t0 (f - f0)), under the rules of ``gabor_atom_eval``.
     """
     fs = _as_array("f", f)
-    df = fs - g.f0
-    out = np.exp(-((np.pi / g.alpha) ** 2) * df ** 2
-                 + 1j * (g.phase - 2.0 * np.pi * g.t0 * df))
+    with np.errstate(over="ignore", invalid="ignore"):
+        df = fs - g.f0
+        phase = _as_array("phase - 2*pi*t0*(f - f0)", g.phase - 2.0 * np.pi * g.t0 * df,
+                          at=("f", fs))
+        out = np.exp(-((np.pi / g.alpha) ** 2) * (df * df) + 1j * phase)
     return _match(f, out, complex)
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: formats, generators, file handling, exit codes."""
 
+import argparse
 import csv
 import io
 import math
@@ -209,10 +210,14 @@ _HUGE = "100000000000000000"
     (["sample", "--gen", "sine", "--f", "1e308", "--fs", "1", "--n", "4"], 1),
     (["sample", "--gen", "chirp", "--f0", "1e308", "--f1", "-1e308", "--fs", "1e10", "--n", "4"],
      1),
+    # so are gabor flags, by the atom's own phase rule
+    (["sample", "--gen", "gabor", "--t0", "0", "--f0", "1e308", "--alpha", "1", "--fs", "1",
+      "--n", "4"], 1),
 ], ids=["transform", "series", "sample", "reconstruct", "stft", "wvd", "atoms", "huge-sample",
         "huge-transform", "huge-series-k", "huge-series-synthesize", "huge-atoms",
         "huge-reconstruct", "inf-freq-column", "huge-bin-rate", "nan-atom-cells",
-        "nan-atom-cells-freq", "huge-square-phase", "huge-sine-phase", "huge-chirp-sweep"])
+        "nan-atom-cells-freq", "huge-square-phase", "huge-sine-phase", "huge-chirp-sweep",
+        "huge-gabor-phase"])
 def test_failed_run_leaves_the_output_untouched(tmp_path, monkeypatch, capsys, argv, want):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.csv").write_text("re\n1\nx\n", encoding="utf-8")
@@ -318,6 +323,52 @@ def test_sample_gabor_generator(capsys):
     atom = GaborAtom(0.5, 4.0, 6.0, 0.0)
     want = gabor_atom_eval(atom, rows[:, 1])
     assert np.max(np.abs(rows[:, 2] + 1j * rows[:, 3] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("flags", [["--gen", "sine", "--f", "2.5", "--phase", "0.3"],
+                                   ["--gen", "square", "--f", "2.5", "--phase", "0.3"],
+                                   ["--gen", "chirp", "--f0", "3", "--f1", "190", "--phase", "1"],
+                                   ["--gen", "gabor", "--t0", "0.5", "--f0", "4", "--alpha", "6"]],
+                         ids=["sine", "square", "chirp", "gabor"])
+def test_generators_evaluate_their_grid_in_one_call(monkeypatch, capsys, flags):
+    from fourierkit import sampling
+    calls, real_sample = [], sampling.sample
+
+    def counted(map, *args):
+        def each(t):
+            calls.append(np.shape(t))
+            return map(t)
+        return real_sample(each, *args)
+
+    monkeypatch.setattr(sampling, "sample", counted)
+    code, out, _ = run(["sample", *flags, "--n", "100"], capsys)
+    assert code == 0 and len(out.splitlines()) == 101
+    assert calls == [(100,)]
+
+
+def test_square_wave_folds_as_the_scalar_oracle():
+    # the edges of the float fold: signed zeros, values that fold to 1.0, subnormals, a
+    # half past 2**52, and the largest floats
+    edges = np.array([0.0, -0.0, 1e-17, -1e-17, 5e-324, -5e-324, 2.0 ** 52 + 0.5, 1e300, -1e300,
+                      sys.float_info.max, -sys.float_info.max])
+    rng = np.random.default_rng(34)
+    ts = np.concatenate([edges, edges[np.abs(edges) < 1e308] * 1.5, np.arange(-6, 7) * 0.75,
+                         *(rng.uniform(-s, s, 2000) for s in (1.0, 1e3, 1e8, 1e16))])
+    got = cli._square_wave(ts / 1.5)
+    assert got.tobytes() == np.array([_square(t) for t in ts.tolist()]).tobytes()
+
+
+@pytest.mark.parametrize("gen, oracle", [
+    ("square", lambda t: _square(t)),
+    ("sine", lambda t: math.sin(2.0 * math.pi * t / 1.5)),
+    ("dc", lambda t: 1.0),
+], ids=["square", "sine", "dc"])
+def test_series_maps_give_one_value_per_point(gen, oracle):
+    map = cli._series_map(None, argparse.Namespace(gen=gen, period=1.5))
+    ts = np.linspace(-3.0, 3.0, 97)
+    got = map(ts)
+    assert got.shape == ts.shape and got.dtype == float
+    assert got.tobytes() == np.array([oracle(t) for t in ts.tolist()]).tobytes()
 
 
 def test_reconstruct_dc_record(capsys):

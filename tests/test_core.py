@@ -1,9 +1,11 @@
 """Value types: construction, validation, jump conventions, config parsing."""
 
 import ast
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import re
 import subprocess
 import sys
@@ -302,6 +304,9 @@ def test_bad_arguments_raise_invalid_parameter():
         lambda: make_comb(1.0, 3, weight="x"),
         lambda: ImpulseTrain(((1.0, [1.0, 2.0]),)),
         lambda: ImpulseTrain((([0.0, 1.0], 1.0),)),
+        # an atom whose phase is not finite at the point asked for
+        lambda: gabor_atom_eval(GaborAtom(0, 1e308, 1), 10.0),
+        lambda: gabor_atom_spectrum(GaborAtom(1e308, 1, 1), 3.0),
     ]
     for call in calls:
         with pytest.raises(InvalidParameter) as info:
@@ -569,6 +574,39 @@ def test_constructors_freeze_a_view_not_the_callers_array():
     for frozen in (dist.values, dist.time_axis, coeffs.cosine, coeffs.sine):
         with pytest.raises(ValueError):
             frozen[0] = 2.0
+
+
+def _value_types():
+    from fourierkit import SeriesCoefficients
+    return [Waveform([1.0, 2.0], 0.5, 3.0), Waveform([1.0, 2j], 1.0),
+            Spectrum([1.0, 2j], 0.25),
+            ImpulseTrain(((1.0, 2.0), (0.0, 1j)), domain="frequency"),
+            TFDistribution(np.arange(6.0).reshape(2, 3), [0.0, 1.0], [0.0, 1.0, 2.0],
+                           kind="wvd-real"),
+            SeriesCoefficients(0.5, [1.0, 3.0], [2.0, 4.0], 2.0, (True, False, True, True, True))]
+
+
+@pytest.mark.parametrize("value", _value_types(),
+                         ids=["waveform-real", "waveform-complex", "spectrum", "impulse-train",
+                              "tf-distribution", "series-coefficients"])
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                     lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_unpickled_values_keep_read_only_arrays(value, copy_of):
+    got = copy_of(value)
+    assert type(got) is type(value)
+    fields, want = vars(got), vars(value)
+    assert fields.keys() == want.keys()
+    arrays = [name for name, v in want.items() if isinstance(v, np.ndarray)]
+    assert arrays
+    for name in arrays:
+        assert not fields[name].flags.writeable
+        assert fields[name].dtype == want[name].dtype
+        assert fields[name].tobytes() == want[name].tobytes()
+        with pytest.raises(ValueError):
+            fields[name][0] = 7.0
+    assert {k: v for k, v in fields.items() if k not in arrays} == \
+        {k: v for k, v in want.items() if k not in arrays}
 
 
 def test_load_config_defaults_to_empty(monkeypatch):

@@ -76,15 +76,15 @@ def cli_ops(workdir, seed, python):
             CliOp("tagged", ["tagged"], "out-tagged.csv", tagged)]
 """
 
-# "pause" writes the same table from both trees, half as slowly in the change;
-# "tagged" writes the tree's side.
+# "pause" writes the same table from both trees, sleeping a tenth as long in the
+# change, a gap wider than a process's start-up jitter; "tagged" writes the tree's side.
 _FAKE_MAIN = """
 import sys, time
 from pathlib import Path
 side = (Path(__file__).resolve().parents[2] / "SIDE").read_text().strip()
 kind, path = sys.argv[1], sys.argv[sys.argv.index("-o") + 1]
 if kind == "pause":
-    time.sleep({"parent": 0.04, "change": 0.02}[side])
+    time.sleep({"parent": 0.2, "change": 0.02}[side])
 Path(path).write_text("t,v\\n0,1\\n" if kind == "pause" else side)
 """
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,50 @@ def test_atom_eval_scalar_matches_array():
     assert arr[1] == gabor_atom_eval(ATOM, 0.7)
     fr = np.array([3.0, 4.0])
     assert gabor_atom_spectrum(ATOM, fr)[1] == gabor_atom_spectrum(ATOM, 4.0)
+
+
+def _atom_grid(atom, domain, points):
+    if domain == "time":
+        return gabor_atom_eval, np.linspace(atom.t0 - 5.0 / atom.alpha,
+                                            atom.t0 + 5.0 / atom.alpha, points)
+    span = 5.0 * atom.alpha / math.pi
+    return gabor_atom_spectrum, np.linspace(atom.f0 - span, atom.f0 + span, points)
+
+
+@pytest.mark.parametrize("domain", ["time", "freq"])
+@pytest.mark.parametrize("atom, points", [(GaborAtom(0.25, 3.5, 5.0, 0.7), 199),
+                                          (GaborAtom(-1.5, 30.0, 2.0), 65536)],
+                         ids=["reference-199", "grid-65536"])
+def test_atom_values_have_the_same_bits_per_point_as_in_an_array(atom, points, domain):
+    # the offset is squared as d * d on both paths: a scalar ** 2 goes through pow,
+    # which can misround a square where the array's square does not
+    value, xs = _atom_grid(atom, domain, points)
+    each = np.array([value(atom, x) for x in xs.tolist()])
+    assert each.tobytes() == value(atom, xs).tobytes()
+
+
+def test_an_overflowing_envelope_gives_zero_without_a_warning():
+    atom = GaborAtom(0.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gabor_atom_eval(atom, np.array([1e200, 0.5]))
+        assert got[1] == gabor_atom_eval(atom, 0.5)
+        spectrum = gabor_atom_spectrum(atom, np.array([-1e200, 1.5]))
+        assert spectrum[1] == gabor_atom_spectrum(atom, 1.5)
+    assert got[0] == 0.0 and spectrum[0] == 0.0
+
+
+@pytest.mark.parametrize("call, where", [
+    (lambda: gabor_atom_eval(GaborAtom(0.0, 1e308, 1.0), np.array([0.0, 10.0])), "t = 0.0"),
+    (lambda: gabor_atom_eval(GaborAtom(0.0, 1e308, 1.0), 0.0), "t = 0.0"),
+    (lambda: gabor_atom_spectrum(GaborAtom(1e308, 1.0, 1.0), np.array([3.0, 1.0])), "f = 3.0"),
+    (lambda: gabor_atom_spectrum(GaborAtom(1e308, 1.0, 1.0), 3.0), "f = 3.0"),
+], ids=["eval-array", "eval-point", "spectrum-array", "spectrum-point"])
+def test_a_phase_that_is_not_finite_names_its_first_point(call, where):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match=f"phase .* non-finite value at {where}$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
