@@ -290,7 +290,9 @@ def _generated_waveform(parser: argparse.ArgumentParser, args: argparse.Namespac
         _need(parser, args, ["t0", "f0", "alpha"])
         from . import timefreq
 
-        atom = GaborAtom(args.t0, args.f0, args.alpha, phase)
+        atom = GaborAtom(args.t0, _as_float("--f0", args.f0, 2.0 * math.pi, last), args.alpha,
+                         phase)
+        timefreq.gabor_atom_eval(atom, last)  # the phase is monotone in t: the last one decides
         return sampling.sample(lambda t: timefreq.gabor_atom_eval(atom, t), interval, n)
     parser.error(f"unknown generator {args.gen!r}")
 

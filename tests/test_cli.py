@@ -201,7 +201,8 @@ _HUGE = "100000000000000000"
     # a rate whose bin frequencies overflow is refused, with no warning
     (["transform", "--gen", "sine", "--f", "1", "--fs", "1e308", "--n", "8"], 1),
     (["transform", "--gen", "dc", "--fs", "1e308", "--n", "8"], 1),
-    # atom flags whose phase overflows on the grid are refused before evaluation, with no warning
+    # atom flags whose phase overflows on the grid are refused by the atom's phase rule,
+    # with no warning
     (["atoms", "--t0", "1e308", "--f0", "1", "--alpha", "1", "--points", "3"], 1),
     (["atoms", "--t0", "1e308", "--f0", "1", "--alpha", "1", "--points", "3", "--domain", "freq"],
      1),
@@ -210,7 +211,7 @@ _HUGE = "100000000000000000"
     (["sample", "--gen", "sine", "--f", "1e308", "--fs", "1", "--n", "4"], 1),
     (["sample", "--gen", "chirp", "--f0", "1e308", "--f1", "-1e308", "--fs", "1e10", "--n", "4"],
      1),
-    # so are gabor flags, by the atom's own phase rule
+    # so are gabor flags
     (["sample", "--gen", "gabor", "--t0", "0", "--f0", "1e308", "--alpha", "1", "--fs", "1",
       "--n", "4"], 1),
 ], ids=["transform", "series", "sample", "reconstruct", "stft", "wvd", "atoms", "huge-sample",
@@ -344,6 +345,28 @@ def test_generators_evaluate_their_grid_in_one_call(monkeypatch, capsys, flags):
     code, out, _ = run(["sample", *flags, "--n", "100"], capsys)
     assert code == 0 and len(out.splitlines()) == 101
     assert calls == [(100,)]
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--f0", "1e306"], "--f0 1e+306 times"),
+    (["--f0", "2.8e305", "--phase", "1e308"], "non-finite value at t = 99.999"),
+], ids=["f0", "f0-and-phase"])
+def test_a_gabor_phase_that_overflows_late_fails_in_at_most_one_call(monkeypatch, capsys, flags,
+                                                                     error):
+    # the phase first overflows near t = 28 and t = 45: a call per point up to there would
+    # take seconds
+    from fourierkit import timefreq
+    calls, real_eval = [], timefreq.gabor_atom_eval
+
+    def counted(atom, t):
+        calls.append(np.shape(t))
+        return real_eval(atom, t)
+
+    monkeypatch.setattr(timefreq, "gabor_atom_eval", counted)
+    code, _, err = run(["sample", "--gen", "gabor", "--t0", "0", "--alpha", "1", *flags,
+                        "--fs", "1000", "--n", "100000"], capsys)
+    assert code == 1 and error in err
+    assert len(calls) <= 1
 
 
 def test_square_wave_folds_as_the_scalar_oracle():

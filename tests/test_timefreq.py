@@ -118,31 +118,21 @@ def test_atom_spectrum_matches_quadrature_up_to_area_constant():
 
 
 def test_atom_eval_scalar_matches_array():
-    ts = np.array([0.0, 0.7, 1.4])
-    arr = gabor_atom_eval(ATOM, ts)
-    assert arr[1] == gabor_atom_eval(ATOM, 0.7)
-    fr = np.array([3.0, 4.0])
-    assert gabor_atom_spectrum(ATOM, fr)[1] == gabor_atom_spectrum(ATOM, 4.0)
-
-
-def _atom_grid(atom, domain, points):
-    if domain == "time":
-        return gabor_atom_eval, np.linspace(atom.t0 - 5.0 / atom.alpha,
-                                            atom.t0 + 5.0 / atom.alpha, points)
-    span = 5.0 * atom.alpha / math.pi
-    return gabor_atom_spectrum, np.linspace(atom.f0 - span, atom.f0 + span, points)
-
-
-@pytest.mark.parametrize("domain", ["time", "freq"])
-@pytest.mark.parametrize("atom, points", [(GaborAtom(0.25, 3.5, 5.0, 0.7), 199),
-                                          (GaborAtom(-1.5, 30.0, 2.0), 65536)],
-                         ids=["reference-199", "grid-65536"])
-def test_atom_values_have_the_same_bits_per_point_as_in_an_array(atom, points, domain):
-    # the offset is squared as d * d on both paths: a scalar ** 2 goes through pow,
-    # which can misround a square where the array's square does not
-    value, xs = _atom_grid(atom, domain, points)
-    each = np.array([value(atom, x) for x in xs.tolist()])
-    assert each.tobytes() == value(atom, xs).tobytes()
+    # the offset is squared as d * d on both paths: a scalar ** 2 goes through pow, which can
+    # misround a square where the array's square does not.  The grids are the atoms
+    # command's reference case and a large one, in both domains.
+    ref, wide = GaborAtom(0.25, 3.5, 5.0, 0.7), GaborAtom(-1.5, 30.0, 2.0)
+    for value, atom, xs in [
+        (gabor_atom_eval, ATOM, np.array([0.0, 0.7, 1.4])),
+        (gabor_atom_spectrum, ATOM, np.array([3.0, 4.0])),
+        (gabor_atom_eval, ref, np.linspace(-0.75, 1.25, 199)),
+        (gabor_atom_spectrum, ref, np.linspace(3.5 - 25.0 / math.pi, 3.5 + 25.0 / math.pi, 199)),
+        (gabor_atom_eval, wide, np.linspace(-4.0, 1.0, 65536)),
+        (gabor_atom_spectrum, wide, np.linspace(30.0 - 10.0 / math.pi, 30.0 + 10.0 / math.pi,
+                                                65536)),
+    ]:
+        each = np.array([value(atom, x) for x in xs.tolist()])
+        assert each.tobytes() == value(atom, xs).tobytes()
 
 
 def test_an_overflowing_envelope_gives_zero_without_a_warning():
