@@ -1,7 +1,8 @@
 """Shared value types: waveforms, spectra, impulse trains, piecewise maps,
 Gabor atoms, and time-frequency grids, plus the helpers the other modules
-share: map evaluation, scalar-or-array results, and the argument rules ``_as_float``,
-``_as_array`` and ``_as_count`` that every scalar float, array and count goes through once.
+share: scalar-or-array results, the argument rules ``_as_float``, ``_as_array`` and
+``_as_count`` that every scalar float, array and count goes through once, and the map rule
+``_eval_map`` that every value of a caller's map goes through once.
 
 Every type here is an immutable value object.  Operations in the rest of the
 package take these values and return new ones; nothing is mutated in place,
@@ -100,18 +101,22 @@ class _ReadOnlyState:
             object.__setattr__(self, name, frozen)
 
 
-def _eval_map(fn: Callable, xs: np.ndarray, kind: type) -> np.ndarray:
+def _eval_map(fn: Callable, xs: np.ndarray, kind: type, name: str = "map",
+              label: str = "t") -> np.ndarray:
     """Values of ``fn`` at the points ``xs`` as a ``kind`` (float or complex)
     array: one call on the whole array when the map takes it and answers one
-    value per point, otherwise one call per point on a Python float, each
-    value converted by ``kind``."""
+    value per point, otherwise one call per point on a Python float.  Either
+    way, the one rule for a caller's map: NonFiniteSample naming ``name`` unless
+    ``_as_array`` finds each value a finite ``kind``, the first non-finite one
+    named by its point ``label = x``."""
     try:
-        vals = np.asarray(fn(xs), dtype=kind)
-        if vals.shape == xs.shape:
-            return vals
+        vals = fn(xs)
+        whole = np.shape(vals) == xs.shape
     except (TypeError, ValueError):
-        pass
-    return np.fromiter(map(kind, map(fn, xs.astype(float, copy=False).tolist())), kind, xs.size)
+        whole = False
+    if not whole:
+        vals = list(map(fn, xs.astype(float, copy=False).tolist()))
+    return _as_array(name, vals, kind, NonFiniteSample, at=(label, xs))
 
 
 def _match(x, out: np.ndarray, kind: type):
@@ -146,10 +151,13 @@ def _as_float(name: str, value: float, *span: float,
 def _as_array(name: str, value, kind: type | np.dtype = float,
               error: type[FourierKitError] = InvalidParameter,
               at: tuple[str, np.ndarray] | None = None) -> np.ndarray:
-    """np.asarray(value, dtype=kind), once; ``error`` naming ``name`` for a huge integer or for
-    its first non-finite entry, named by flat index or, given ``at=(label, points)``, by point."""
+    """np.asarray(value) as ``kind``, once; ``error`` naming ``name`` for a huge integer, a complex
+    array of a real kind, or its first non-finite entry, by flat index or ``at=(label, points)``."""
     try:
-        arr = np.asarray(value, dtype=kind)
+        arr = np.asarray(value)
+        if arr.dtype.kind == "c" and np.dtype(kind).kind != "c":
+            raise TypeError  # numpy would drop the imaginary parts with only a warning
+        arr = arr.astype(kind, copy=False)
     except OverflowError:
         raise error(f"{name} holds an integer too large for a float") from None
     except (TypeError, ValueError):
@@ -368,20 +376,25 @@ def segmented_eval(s: SegmentedFunction, x: float) -> float:
     Interior points use the covering piece; a junction shared by two pieces
     yields the mean of both; a boundary next to the implicit zero region
     yields half the one-sided value; everywhere else the value is 0.  x must
-    be finite (else InvalidParameter).
+    be finite (else InvalidParameter), and a piece's value at x a finite real
+    number (else NonFiniteSample).
     """
     x = _as_float("x", x)
+
+    def value(m: Callable[[float], float]) -> float:
+        return _as_float(f"segment map at x = {x!r}", m(x), error=NonFiniteSample)
+
     touching = []
     for a, b, m in s.segments:
         if a < x < b:
-            return float(m(x))
+            return value(m)
         if x == a or x == b:
             touching.append(m)
     if not touching:
         return 0.0
     if len(touching) == 1:
-        return 0.5 * float(touching[0](x))
-    return 0.5 * (float(touching[0](x)) + float(touching[1](x)))
+        return 0.5 * value(touching[0])
+    return 0.5 * (value(touching[0]) + value(touching[1]))
 
 
 @dataclass(frozen=True)

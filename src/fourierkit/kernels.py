@@ -85,5 +85,7 @@ def make_comb(period: float, count: int, weight: complex = 1.0, domain: str = TI
 
 def sift(train: ImpulseTrain, map: Callable[[float], complex]) -> complex:
     """Apply the train to a map: sum of weight * map(location), with the map
-    called on all locations at once when it takes an array."""
-    return complex(np.dot(train.weights(), _eval_map(map, train.locations(), complex)))
+    called on all locations at once when it takes an array.  Raises
+    NonFiniteSample unless the map gives a finite number at every location."""
+    label = "t" if train.domain == TIME else "f"
+    return complex(np.dot(train.weights(), _eval_map(map, train.locations(), complex, label=label)))

@@ -16,12 +16,10 @@ from .core import (
     ImpulseTrain,
     InvalidParameter,
     LengthMismatch,
-    NonFiniteSample,
     FREQUENCY,
     REAL,
     Waveform,
     _INTERVAL,
-    _as_array,
     _as_count,
     _as_float,
     _eval_map,
@@ -40,15 +38,14 @@ def sample(map: Callable[[float], complex], sample_interval: float, count: int,
     integer >= 1 that numpy can size an array by, NonPositiveInterval unless
     0 < sample_interval < inf with a finite span count * sample_interval, and
     InvalidParameter unless every sample time is finite.  Raises
-    NonFiniteSample if the map produces NaN or infinity.
+    NonFiniteSample unless the map gives a finite number at every time.
     """
     count = _as_count("count", count)
     interval = _as_float("sample_interval", sample_interval, count, **_INTERVAL)
     start = _as_float("start_time", start_time)
     _require_finite_times(start, interval, count)
     ts = start + interval * np.arange(count)
-    vals = _as_array("map", _eval_map(map, ts, complex), complex, NonFiniteSample, at=("t", ts))
-    return Waveform(vals, interval, start)
+    return Waveform(_eval_map(map, ts, complex), interval, start)
 
 
 def alias_frequency(f: float, sample_rate: float) -> float:
@@ -160,14 +157,14 @@ def sample_spectrum(spectrum_map: Callable[[float], complex], bin_spacing: float
     keeping the real part, exactly when X(-kF) = conj(X(kF)) for every line
     (a line whose partner was not sampled pairs with 0).  Raises
     InvalidParameter unless count is an integer >= 1 that numpy can size the
-    two periods by, and NonFiniteSample if the map produces NaN or infinity.
+    two periods by, and NonFiniteSample unless the map gives a finite number
+    at every frequency.
     """
     bin_spacing = _as_float("bin_spacing", bin_spacing, **_INTERVAL)
     count = _as_count("count", count, 8)  # two periods of 4 * count samples
     ks = np.arange(-(count // 2), count - count // 2)
     freqs = ks * bin_spacing
-    weights = _as_array("spectrum_map", _eval_map(spectrum_map, freqs, complex), complex,
-                        NonFiniteSample, at=("f", freqs))
+    weights = _eval_map(spectrum_map, freqs, complex, "spectrum_map", "f")
     train = ImpulseTrain._of(freqs, weights, FREQUENCY)
 
     per_period = 4 * count

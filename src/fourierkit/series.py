@@ -19,8 +19,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import (InvalidParameter, _INTERVAL, _ReadOnlyState, _as_array, _as_count, _as_float,
-                   _eval_map, _frozen, _match)
+from .core import (InvalidParameter, _INTERVAL, _MAX_COUNT, _ReadOnlyState, _as_array, _as_count,
+                   _as_float, _eval_map, _frozen, _match)
 from .transforms import QuadratureSpec, _fft_raw
 
 _BLOCK_ENTRIES = 2_000_000  # entries per block of series_synthesize's angle matrices
@@ -57,13 +57,20 @@ class SeriesCoefficients(_ReadOnlyState):
 
 @dataclass(frozen=True, eq=False)
 class ComplexSeriesCoefficients:
-    """Exponential-form coefficients: harmonic m -> c_m, m in [-K, K]."""
+    """Exponential-form coefficients: harmonic m -> c_m, m in [-K, K].
+
+    Built with integer harmonics that numpy can size an array by and finite
+    complex values (else InvalidParameter), held as ints and Python complex.
+    """
 
     terms: Mapping[int, complex]
     period: float
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", dict(self.terms))
+        terms = dict(self.terms)
+        ms = [_as_count("harmonic", m, least=-_MAX_COUNT) for m in terms]
+        cs = _as_array("complex coefficients", list(terms.values()), complex).tolist()
+        object.__setattr__(self, "terms", dict(zip(ms, cs)))
         object.__setattr__(self, "period", _as_float("period", self.period, **_INTERVAL))
 
     @property
@@ -126,7 +133,8 @@ def series_coefficients(map: Callable[[float], float], period: float, k: int,
     of two, and doubles until the Richardson error estimate of every
     coefficient is within tolerance or ``spec.max_subdivisions`` panels
     would be exceeded; unmet coefficients are flagged in ``converged``
-    rather than raised.
+    rather than raised.  Raises NonFiniteSample unless the map gives a
+    finite real number at every node.
     """
     period = _as_float("period", period, **_INTERVAL)
     v, flags = _refine(map, period, k, spec, True, lambda c: np.r_[c.real, -c.imag[1:]])
@@ -140,7 +148,8 @@ def half_series_coefficients(map: Callable[[float], float], extent: float, kind:
     kind "cosine" uses the even extension (a0 and cosines, sines zero);
     kind "sine" uses the odd extension (sines only).  The result has period
     2 * extent.  The grid starts at 32 panels per highest harmonic and is
-    refined as in ``series_coefficients``.
+    refined as in ``series_coefficients``.  Raises NonFiniteSample unless
+    the map gives a finite real number at every node.
     """
     if kind not in ("cosine", "sine"):
         raise InvalidParameter(f"kind must be 'cosine' or 'sine', got {kind!r}")

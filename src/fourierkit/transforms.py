@@ -522,7 +522,8 @@ def quad_ft(map: Callable[[float], complex], f: float, spec: QuadratureSpec,
     The damping factor exp(-damping |t|) from ``spec`` multiplies the
     integrand.  On budget exhaustion the best estimate is returned with
     ``converged = False`` rather than raising.  The phase 2 pi f t must be
-    finite over the window (else InvalidParameter).
+    finite over the window (else InvalidParameter), and the map must give a
+    finite number at every node (else NonFiniteSample, naming its first t).
     """
     if direction not in (FORWARD, INVERSE):
         raise InvalidParameter(f"direction must be 'forward' or 'inverse', got {direction!r}")
@@ -543,7 +544,8 @@ def half_transform(map: Callable[[float], float], q: float, kind: str,
 
     ``q`` is in radians per second, and q * spec.upper must be finite (else
     InvalidParameter).  Integration runs from max(spec.lower, 0) to
-    spec.upper; raises ToleranceNotReached if the budget runs out.
+    spec.upper; raises ToleranceNotReached if the budget runs out, and
+    NonFiniteSample unless the map gives a finite real number at every node.
     """
     if kind not in (COSINE, SINE):
         raise InvalidParameter(f"kind must be 'cosine' or 'sine', got {kind!r}")
@@ -554,7 +556,7 @@ def half_transform(map: Callable[[float], float], q: float, kind: str,
         raise NonPositiveInterval(f"empty half-line window [{lower}, {spec.upper}]")
 
     def g(x: np.ndarray) -> np.ndarray:
-        return _eval_map(map, x, float) * kernel(q * x) * np.exp(-spec.damping * x)
+        return _eval_map(map, x, float, label="x") * kernel(q * x) * np.exp(-spec.damping * x)
 
     panels = _initial_panels(abs(q) / (2.0 * math.pi) * (spec.upper - lower))
     result = _integrate(g, lower, spec.upper, spec.abs_tolerance,

@@ -3,6 +3,7 @@
 import ast
 import copy
 import dataclasses
+import inspect
 import json
 import math
 import pickle
@@ -36,6 +37,7 @@ from fourierkit import (
     segmented_eval,
     validate_waveform,
 )
+import fourierkit as fk
 from fourierkit import config
 
 
@@ -162,9 +164,10 @@ def test_errors_subclass_builtin_families():
 
 
 def test_bad_arguments_raise_invalid_parameter():
-    from fourierkit import (InvalidParameter, QuadratureSpec, SeriesCoefficients,
-                            alias_frequency, bin_frequencies, bin_to_frequency, dirichlet_closed,
-                            dirichlet_sum, dtft_eval, gabor_atom_eval, gabor_atom_spectrum,
+    from fourierkit import (ComplexSeriesCoefficients, InvalidParameter, QuadratureSpec,
+                            SeriesCoefficients, alias_frequency, bin_frequencies,
+                            bin_to_frequency, dirichlet_closed, dirichlet_sum, dtft_eval,
+                            gabor_atom_eval, gabor_atom_spectrum,
                             half_series_coefficients, half_transform, make_comb, quad_ft, rect,
                             sample, sample_spectrum, series_coefficients, series_synthesize,
                             sinc, sinc_reconstruct, sinc_scaled, step, stft, window_rect)
@@ -307,6 +310,15 @@ def test_bad_arguments_raise_invalid_parameter():
         # an atom whose phase is not finite at the point asked for
         lambda: gabor_atom_eval(GaborAtom(0, 1e308, 1), 10.0),
         lambda: gabor_atom_spectrum(GaborAtom(1e308, 1, 1), 3.0),
+        # a complex array where real numbers are asked for keeps its imaginary parts out
+        lambda: step(np.array([-1 + 5j])),
+        lambda: sinc(np.array([0.5 + 1j])),
+        lambda: ImpulseTrain([(np.complex128(1 + 1j), 1.0)]),
+        lambda: series_synthesize(coeffs, np.array([1j])),
+        # exponential-form coefficients: integer harmonics numpy can size, finite values
+        *(lambda terms=terms: ComplexSeriesCoefficients(terms, 1.0)
+          for terms in ({1: math.nan}, {1: complex(0.0, math.inf)}, {1.5: 1.0}, {"a": 1.0},
+                        {10 ** 20: 1.0}, {-10 ** 20: 1.0}, {1: "x"}, {1: 10 ** 400})),
     ]
     for call in calls:
         with pytest.raises(InvalidParameter) as info:
@@ -539,6 +551,84 @@ def test_segmented_eval_jump_conventions():
     # outside every piece the map is zero
     assert segmented_eval(f, -0.1) == 0.0
     assert segmented_eval(f, 2.1) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400, 1j, "a", None],
+                         ids=["nan", "inf", "-inf", "huge-int", "complex", "str", "None"])
+def test_segmented_eval_checks_its_piece_values(bad):
+    f = SegmentedFunction(((0.0, 1.0, lambda x: 1.0), (1.0, 2.0, lambda x: bad)))
+    for x in (1.5, 1.0, 2.0):  # inside the bad piece, at its junction, at its outer edge
+        with pytest.raises(NonFiniteSample, match=rf"^segment map at x = {x!r} "):
+            segmented_eval(f, x)
+    assert segmented_eval(f, 0.5) == 1.0
+
+
+# Every public function that takes a caller's map, with a call whose points all
+# include 0.75 exactly, and the label its errors name those points by.
+_MAP_CALLS = {
+    "sample": ("t", lambda m: sample(m, 0.25, 8)),
+    "sample_spectrum": ("f", lambda m: fk.sample_spectrum(m, 0.25, 8)),
+    "sift": ("t", lambda m: fk.sift(fk.make_comb(0.25, 8), m)),
+    "quad_ft": ("t", lambda m: fk.quad_ft(m, 1.0, fk.QuadratureSpec(0.0, 2.0))),
+    "half_transform": ("x", lambda m: fk.half_transform(
+        m, 1.0, "cosine", fk.QuadratureSpec(0.0, 2.0))),
+    "series_coefficients": ("t", lambda m: fk.series_coefficients(m, 1.0, 3)),
+    "half_series_coefficients": ("t", lambda m: fk.half_series_coefficients(
+        m, 1.0, "sine", 3)),
+}
+_REAL_MAPS = {"half_transform", "series_coefficients", "half_series_coefficients"}
+
+
+def test_the_map_sweep_covers_every_public_map_taking_function():
+    found = {name for name in fk.__all__ if inspect.isfunction(getattr(fk, name))
+             and {"map", "spectrum_map"} & set(inspect.signature(getattr(fk, name)).parameters)}
+    assert found == set(_MAP_CALLS)
+
+
+@pytest.mark.parametrize("array_map", [True, False], ids=["array-map", "scalar-map"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, None, "a", 10 ** 400, 1j],
+                         ids=["nan", "inf", "None", "str", "huge-int", "complex"])
+@pytest.mark.parametrize("function", sorted(_MAP_CALLS))
+def test_every_map_taking_function_refuses_a_bad_map_value(function, bad, array_map):
+    """One bad value, at the point 0.75 only, from a map that answers an array or
+    from one that takes a Python float only: NonFiniteSample naming the map."""
+    label, call = _MAP_CALLS[function]
+    if bad == 1j and function not in _REAL_MAPS:
+        bad = complex(1.0, math.nan)  # a complex value is no fault there; a NaN in one is
+
+    def point(t):
+        return bad if t == 0.75 else 1.0
+
+    def per_array(t):
+        return np.array([point(x) for x in t.tolist()])
+
+    name = "spectrum_map" if function == "sample_spectrum" else "map"
+    with pytest.raises(NonFiniteSample, match=rf"^{name} ") as info:
+        call(per_array if array_map else lambda t: point(float(t)))
+    if isinstance(bad, (float, complex)) and not np.isfinite(bad):
+        assert str(info.value).endswith(f"non-finite value at {label} = 0.75")
+
+
+def test_scalar_only_package_functions_serve_as_maps():
+    """A package function that refuses an array with its own FourierKitError is
+    still a map: the array call fails and each point is evaluated alone."""
+    w = Waveform(np.cos(0.4 * np.arange(16.0)), 0.5)
+    hat = SegmentedFunction(((0.0, 1.0, lambda x: x), (1.0, 2.0, lambda x: 2.0 - x)))
+    for scalar_only in (lambda f: fk.dtft_eval(w, f), lambda t: fk.sinc_reconstruct(w, t, 8),
+                        lambda t: segmented_eval(hat, t)):
+        with pytest.raises(InvalidParameter):
+            scalar_only(np.array([0.25, 0.5]))
+    train, _ = fk.sample_spectrum(lambda f: fk.dtft_eval(w, f), 0.125, 8)
+    want = [fk.dtft_eval(w, f) for f in train.locations().tolist()]
+    assert train.weights().tolist() == want
+    got = sample(lambda t: fk.sinc_reconstruct(w, t, 8), 0.25, 12, start_time=0.1)
+    want = [fk.sinc_reconstruct(w, t, 8) for t in got.times.tolist()]
+    assert got.samples.tolist() == want
+    spec = fk.QuadratureSpec(0.0, 2.0)
+    got = fk.quad_ft(lambda t: segmented_eval(hat, t), 0.3, spec)
+    assert got.converged
+    assert got.value == pytest.approx(fk.quad_ft(lambda t: 1.0 - np.abs(t - 1.0), 0.3, spec).value,
+                                      abs=1e-12)
 
 
 def test_gabor_atom_requires_positive_alpha():

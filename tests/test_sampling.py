@@ -60,7 +60,7 @@ def test_sample_calls_a_map_per_point_unless_it_answers_every_point():
         assert got.dtype == np.float64 and np.array_equal(got, want)
     got = sample(lambda t: complex(float(t), -1.0), 1.0, 5)
     assert np.array_equal(got.samples, ts - 1j) and got.tag == "complex"
-    with pytest.raises(TypeError):
+    with pytest.raises(NonFiniteSample):
         _eval_map(lambda t: complex(float(t), -1.0), ts, float)
     # integer sample times still reach a per-point map as Python floats
     got = sample(lambda t: 1.0 if type(t) is float else None, 1, 4, start_time=0)
