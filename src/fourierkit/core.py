@@ -151,10 +151,13 @@ def _as_float(name: str, value: float, *span: float,
 def _as_array(name: str, value, kind: type | np.dtype = float,
               error: type[FourierKitError] = InvalidParameter,
               at: tuple[str, np.ndarray] | None = None) -> np.ndarray:
-    """np.asarray(value) as ``kind``, once; ``error`` naming ``name`` for a huge integer, a complex
-    array of a real kind, or its first non-finite entry, by flat index or ``at=(label, points)``."""
+    """np.asarray(value) as ``kind``, once; ``error`` naming ``name`` for a huge integer, a None, a
+    complex array of a real kind, or its first non-finite entry, by flat index or ``at=(label,
+    points)``."""
     try:
         arr = np.asarray(value)
+        if arr.dtype.kind == "O" and any(v is None for v in arr.flat):
+            raise TypeError  # numpy would cast None to NaN
         if arr.dtype.kind == "c" and np.dtype(kind).kind != "c":
             raise TypeError  # numpy would drop the imaginary parts with only a warning
         arr = arr.astype(kind, copy=False)

@@ -55,27 +55,46 @@ class SeriesCoefficients(_ReadOnlyState):
         return self.cosine.size
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexSeriesCoefficients:
+@dataclass(frozen=True, eq=False, init=False)
+class ComplexSeriesCoefficients(_ReadOnlyState):
     """Exponential-form coefficients: harmonic m -> c_m, m in [-K, K].
 
-    Built with integer harmonics that numpy can size an array by and finite
-    complex values (else InvalidParameter), held as ints and Python complex.
+    Built from a mapping with integer harmonics that numpy can size an array
+    by and finite complex values (else InvalidParameter), and held as two
+    read-only arrays, int64 harmonics and complex128 values, in the mapping's
+    order (``to_complex`` gives 0, 1, -1, 2, -2, ...).  ``terms`` builds a
+    fresh dict of ints and Python complex from them on demand.
     """
 
-    terms: Mapping[int, complex]
     period: float
 
-    def __post_init__(self):
-        terms = dict(self.terms)
+    def __init__(self, terms: Mapping[int, complex], period: float):
+        terms = dict(terms)
         ms = [_as_count("harmonic", m, least=-_MAX_COUNT) for m in terms]
-        cs = _as_array("complex coefficients", list(terms.values()), complex).tolist()
-        object.__setattr__(self, "terms", dict(zip(ms, cs)))
-        object.__setattr__(self, "period", _as_float("period", self.period, **_INTERVAL))
+        self._hold(np.array(ms, np.int64), list(terms.values()), period)
+
+    @classmethod
+    def _of(cls, ms: np.ndarray, cs: np.ndarray, period: float) -> ComplexSeriesCoefficients:
+        return object.__new__(cls)._hold(ms, cs, period)
+
+    def _hold(self, ms: np.ndarray, cs, period: float) -> ComplexSeriesCoefficients:
+        """Check and hold every value: int64 harmonics ``ms``, distinct as the keys of a
+        mapping are, and one finite complex value each."""
+        cs = _as_array("complex coefficients", cs, complex)
+        if cs.shape != ms.shape:
+            raise InvalidParameter("each term must be one harmonic and one value")
+        object.__setattr__(self, "period", _as_float("period", period, **_INTERVAL))
+        object.__setattr__(self, "_ms", _frozen(ms))
+        object.__setattr__(self, "_cs", _frozen(cs))
+        return self
+
+    @property
+    def terms(self) -> dict[int, complex]:
+        return dict(zip(self._ms.tolist(), self._cs.tolist()))
 
     @property
     def harmonics(self) -> int:
-        return max((abs(m) for m in self.terms), default=0)
+        return int(abs(self._ms).max(initial=0))
 
 
 def _refine(map: Callable[[float], float], span: float, k: int,
@@ -178,25 +197,25 @@ def series_synthesize(c: SeriesCoefficients, t) -> float:
 
 
 def to_complex(c: SeriesCoefficients) -> ComplexSeriesCoefficients:
-    """Exponential form: c_0 = a0, c_m = (a_m - i b_m)/2, c_-m = (a_m + i b_m)/2."""
-    terms: dict[int, complex] = {0: complex(c.a0)}
-    for m in range(1, c.harmonics + 1):
-        a = c.cosine[m - 1]
-        b = c.sine[m - 1]
-        terms[m] = 0.5 * (a - 1j * b)
-        terms[-m] = 0.5 * (a + 1j * b)
-    return ComplexSeriesCoefficients(terms, c.period)
+    """Exponential form: c_0 = a0, c_m = (a_m - i b_m)/2, c_-m = (a_m + i b_m)/2,
+    held in the order 0, 1, -1, 2, -2, ..."""
+    m = np.arange(1, c.harmonics + 1)
+    w = np.stack([c.cosine - 1j * c.sine, c.cosine + 1j * c.sine], axis=1).ravel()
+    cs = np.empty(w.size + 1, complex)
+    cs[0] = c.a0
+    # 0.5 * w as an unfused complex product: numpy's complex loop may fuse its
+    # multiply-adds, which flips the sign of a zero halved from a subnormal
+    cs.real[1:] = 0.5 * w.real - 0.0 * w.imag
+    cs.imag[1:] = 0.5 * w.imag + 0.0 * w.real
+    return ComplexSeriesCoefficients._of(np.r_[0, np.stack([m, -m], axis=1).ravel()], cs, c.period)
 
 
 def from_complex(cc: ComplexSeriesCoefficients) -> SeriesCoefficients:
     """Inverse of ``to_complex``; missing harmonics are treated as zero."""
-    k = cc.harmonics
-    a0 = cc.terms.get(0, 0.0 + 0.0j).real
-    cos = np.zeros(k)
-    sin = np.zeros(k)
-    for m in range(1, k + 1):
-        plus = complex(cc.terms.get(m, 0.0))
-        minus = complex(cc.terms.get(-m, 0.0))
-        cos[m - 1] = (plus + minus).real
-        sin[m - 1] = ((minus - plus) * -1j).real
-    return SeriesCoefficients(a0, cos, sin, cc.period)
+    ms, cs = cc._ms, cc._cs
+    plus, minus = np.zeros(cc.harmonics, complex), np.zeros(cc.harmonics, complex)
+    up, down = np.flatnonzero(ms > 0), np.flatnonzero(ms < 0)
+    plus[ms[up] - 1] = cs[up]  # c_m and c_-m at index m - 1, for m = 1..K
+    minus[-1 - ms[down]] = cs[down]
+    a0 = np.r_[cs[ms == 0].real, 0.0][0]
+    return SeriesCoefficients(a0, (plus + minus).real, ((minus - plus) * -1j).real, cc.period)

@@ -304,6 +304,8 @@ def test_bad_arguments_raise_invalid_parameter():
         # a value that is not a number, or an impulse that is not one location and one weight
         lambda: ImpulseTrain(((1j, 1.0),)),
         lambda: sinc("abc"),
+        lambda: sinc(None),
+        lambda: sinc([1.0, None]),
         lambda: make_comb(1.0, 3, weight="x"),
         lambda: ImpulseTrain(((1.0, [1.0, 2.0]),)),
         lambda: ImpulseTrain((([0.0, 1.0], 1.0),)),
@@ -607,6 +609,8 @@ def test_every_map_taking_function_refuses_a_bad_map_value(function, bad, array_
         call(per_array if array_map else lambda t: point(float(t)))
     if isinstance(bad, (float, complex)) and not np.isfinite(bad):
         assert str(info.value).endswith(f"non-finite value at {label} = 0.75")
+    if bad is None:
+        assert re.search(r"must hold \w+ numbers$", str(info.value))
 
 
 def test_scalar_only_package_functions_serve_as_maps():
@@ -667,18 +671,36 @@ def test_constructors_freeze_a_view_not_the_callers_array():
 
 
 def _value_types():
-    from fourierkit import SeriesCoefficients
+    from fourierkit import ComplexSeriesCoefficients, SeriesCoefficients
     return [Waveform([1.0, 2.0], 0.5, 3.0), Waveform([1.0, 2j], 1.0),
             Spectrum([1.0, 2j], 0.25),
             ImpulseTrain(((1.0, 2.0), (0.0, 1j)), domain="frequency"),
             TFDistribution(np.arange(6.0).reshape(2, 3), [0.0, 1.0], [0.0, 1.0, 2.0],
                            kind="wvd-real"),
-            SeriesCoefficients(0.5, [1.0, 3.0], [2.0, 4.0], 2.0, (True, False, True, True, True))]
+            SeriesCoefficients(0.5, [1.0, 3.0], [2.0, 4.0], 2.0, (True, False, True, True, True)),
+            ComplexSeriesCoefficients({0: 0.5, 2: 1 - 1j, -2: 1 + 1j}, 2.0)]
+
+
+# The public classes that hold no array.
+_SCALAR_ONLY_TYPES = {"GaborAtom", "QuadratureSpec", "QuadResult", "SegmentedFunction",
+                      "UncertaintyProduct"}
+
+
+def test_every_public_value_type_holds_read_only_arrays_or_scalars_only():
+    """Each public class is an error, a scalar-only type, or a core._ReadOnlyState
+    that the copy test below covers: a new value type must join one of them."""
+    classes = {name for name in fk.__all__ if inspect.isclass(getattr(fk, name))}
+    errors = {name for name in classes if issubclass(getattr(fk, name), FourierKitError)}
+    covered = {type(value).__name__ for value in _value_types()}
+    assert _SCALAR_ONLY_TYPES <= classes
+    assert classes - errors - _SCALAR_ONLY_TYPES == covered
+    assert all(issubclass(getattr(fk, name), fk.core._ReadOnlyState) for name in covered)
 
 
 @pytest.mark.parametrize("value", _value_types(),
                          ids=["waveform-real", "waveform-complex", "spectrum", "impulse-train",
-                              "tf-distribution", "series-coefficients"])
+                              "tf-distribution", "series-coefficients",
+                              "complex-series-coefficients"])
 @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
                                      lambda v: pickle.loads(pickle.dumps(v))],
                          ids=["copy", "deepcopy", "pickle"])

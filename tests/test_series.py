@@ -1,5 +1,6 @@
 """Series analysis: coefficient recovery, jump behavior, form conversions."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -228,6 +229,80 @@ def test_from_complex_fills_missing_harmonics_with_zero():
     assert c.cosine[2] == pytest.approx(1.0)
     assert c.cosine[0] == 0.0 and c.cosine[1] == 0.0
     assert np.max(np.abs(c.sine)) == 0.0
+
+
+def _to_complex_loop(c):
+    """Bit oracle: the per-harmonic loop ``to_complex`` replaced, its terms in order."""
+    terms = {0: complex(c.a0)}
+    for m in range(1, c.harmonics + 1):
+        a = c.cosine[m - 1]
+        b = c.sine[m - 1]
+        terms[m] = 0.5 * (a - 1j * b)
+        terms[-m] = 0.5 * (a + 1j * b)
+    return {m: complex(v) for m, v in terms.items()}
+
+
+def _from_complex_loop(terms):
+    """Bit oracle: the per-harmonic loop ``from_complex`` replaced, (a0, cosine, sine)."""
+    k = max((abs(m) for m in terms), default=0)
+    a0 = terms.get(0, 0.0 + 0.0j).real
+    cos = np.zeros(k)
+    sin = np.zeros(k)
+    for m in range(1, k + 1):
+        plus = complex(terms.get(m, 0.0))
+        minus = complex(terms.get(-m, 0.0))
+        cos[m - 1] = (plus + minus).real
+        sin[m - 1] = ((minus - plus) * -1j).real
+    return a0, cos, sin
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 100, 1000])
+def test_complex_form_conversions_give_the_bits_of_the_loops(k):
+    from fourierkit import ComplexSeriesCoefficients
+    rng = np.random.default_rng(k)
+    a, b = rng.uniform(-1.0, 1.0, k), rng.uniform(-1.0, 1.0, k)
+    # signed zeros and the smallest subnormals, whose halves round to signed zeros
+    a[0::5], b[1::5], a[2::7], b[3::7] = 0.0, -0.0, -0.0, 0.0
+    a[4::9], b[4::9], b[6::11] = -5e-324, 5e-324, -0.0
+    for a0 in (0.25, -0.0):
+        c = SeriesCoefficients(a0, a, b, 2.0)
+        want = _to_complex_loop(c)
+        # all terms in to_complex's order, then every third one in reverse, with gaps
+        sparse = dict(reversed(list(want.items())[1::3]))
+        for z, want_terms in ((to_complex(c), want),
+                              (ComplexSeriesCoefficients(sparse, 2.0), sparse)):
+            assert list(z.terms.items()) == list(want_terms.items())
+            assert np.array(list(z.terms.values()), complex).tobytes() == \
+                np.array(list(want_terms.values()), complex).tobytes()
+            want_a0, want_cos, want_sin = _from_complex_loop(want_terms)
+            got = from_complex(z)
+            assert np.float64(got.a0).tobytes() == np.float64(want_a0).tobytes()
+            assert got.cosine.tobytes() == want_cos.tobytes()
+            assert got.sine.tobytes() == want_sin.tobytes()
+
+
+def test_complex_coefficients_hold_two_read_only_arrays():
+    from fourierkit import ComplexSeriesCoefficients
+    c = ComplexSeriesCoefficients({0: 0.5, 1: 0.25 - 0.5j, -1: 0.25 + 0.5j, 3: 2}, 2.0)
+    assert c.terms == {0: 0.5, 1: 0.25 - 0.5j, -1: 0.25 + 0.5j, 3: 2}
+    assert list(c.terms) == [0, 1, -1, 3] and type(c.harmonics) is int and c.harmonics == 3
+    assert all(type(m) is int and type(v) is complex for m, v in c.terms.items())
+    assert [f.name for f in dataclasses.fields(c)] == ["period"]
+    before = from_complex(c)
+    t = c.terms
+    t["a"] = 1.0
+    t[10 ** 20] = 1.0
+    after = from_complex(c)
+    assert (after.a0, after.period) == (before.a0, before.period)
+    assert after.cosine.tobytes() == before.cosine.tobytes()
+    assert after.sine.tobytes() == before.sine.tobytes()
+    held = [v for v in vars(c).values() if isinstance(v, np.ndarray)]
+    assert sorted(v.dtype.name for v in held) == ["complex128", "int64"]
+    for array in held:
+        with pytest.raises(ValueError):
+            array[0] = 7
+    empty = from_complex(ComplexSeriesCoefficients({}, 1.0))
+    assert empty.a0 == 0.0 and empty.harmonics == 0 and empty.sine.size == 0
 
 
 # ---------------------------------------------------------------------------
