@@ -4,13 +4,14 @@ share: scalar-or-array results, the argument rules ``_as_float``, ``_as_array`` 
 ``_as_count`` that every scalar float, array and count goes through once, and the map rule
 ``_eval_map`` that every value of a caller's map goes through once.
 
-Every type here is an immutable value object.  Operations in the rest of the
-package take these values and return new ones; nothing is mutated in place,
-so instances are safe to share between threads.  A Waveform and a Spectrum
-check every invariant once, when they are built, and operations never
-re-check them.  A real-tagged Waveform owns its samples.  Other arrays passed
-to a constructor are not copied when numpy can use them as they are, so they
-must not be written afterwards; the caller's array itself stays writable.
+Every type here is an immutable value object, and every one holds its fields by one rule,
+``_ReadOnlyState.__setstate__``: its arrays as read-only views, the caller's array itself
+staying writable.  Operations take these values and return new ones, so instances are safe to
+share between threads.  Each type checks its invariants once, when it is built (so a
+TFDistribution raises NonFiniteSample for a non-finite value), and operations never re-check
+them.  A real-tagged Waveform owns its samples: a caller's array is copied, one the package
+built is not.  Other arrays passed to a constructor are not copied when numpy can use them as
+they are, so they must not be written afterwards.
 """
 
 from __future__ import annotations
@@ -85,34 +86,38 @@ class ParseError(FourierKitError, ValueError):
     """An input file exists but its contents cannot be understood."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only view of ``a``; ``a`` itself stays writable."""
-    v = a.view()
-    v.setflags(write=False)
-    return v
-
-
 class _ReadOnlyState:
-    """Base of the value types: a copy or an unpickled value holds its arrays read-only too."""
+    """Base of the value types: ``__setstate__`` alone writes their fields, arrays read-only."""
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
-            frozen = _frozen(value) if isinstance(value, np.ndarray) else value
-            object.__setattr__(self, name, frozen)
+            if isinstance(value, np.ndarray):
+                value = value.view()
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, *args):
+        """A value of the package's own fresh arrays: the fields ``cls._hold(*args)`` checks."""
+        value = object.__new__(cls)
+        value.__setstate__(cls._hold(*args))
+        return value
 
 
 def _eval_map(fn: Callable, xs: np.ndarray, kind: type, name: str = "map",
               label: str = "t") -> np.ndarray:
-    """Values of ``fn`` at the points ``xs`` as a ``kind`` (float or complex)
-    array: one call on the whole array when the map takes it and answers one
-    value per point, otherwise one call per point on a Python float.  Either
-    way, the one rule for a caller's map: NonFiniteSample naming ``name`` unless
-    ``_as_array`` finds each value a finite ``kind``, the first non-finite one
-    named by its point ``label = x``."""
+    """Values of ``fn`` at the points ``xs`` as a ``kind`` (float or complex) array: one call on
+    the whole array when the map takes it and answers one value per point, otherwise one call
+    per point on a Python float, but a FourierKitError from the array call propagates unless a
+    scalar-only package function raised it for ``float(xs)``'s TypeError.  Either way, the one
+    rule for a caller's map: NonFiniteSample naming ``name`` unless ``_as_array`` finds each
+    value a finite ``kind``, the first non-finite one named by its point ``label = x``."""
     try:
         vals = fn(xs)
         whole = np.shape(vals) == xs.shape
-    except (TypeError, ValueError):
+    except (TypeError, ValueError) as e:
+        if isinstance(e, FourierKitError) and not isinstance(e.__context__, TypeError):
+            raise
         whole = False
     if not whole:
         vals = list(map(fn, xs.astype(float, copy=False).tolist()))
@@ -215,10 +220,10 @@ class Waveform(_ReadOnlyState):
     an unknown tag or a start_time whose first or last sample time is not
     finite.  An integer too large for a float counts as infinite.
 
-    A real-tagged waveform owns its samples: a complex128 array passed in is
-    copied, so later writes to it cannot break the tag.  Other samples are
-    not copied when ``np.asarray`` can use them as they are; do not write to
-    such an array afterwards.
+    A real-tagged waveform owns its samples: a caller's complex128 array is
+    copied, so later writes to it cannot break the tag, but not the package's
+    own fresh samples.  Other samples are not copied when ``np.asarray`` can
+    use them as they are; do not write to such an array afterwards.
     """
 
     samples: np.ndarray
@@ -227,24 +232,28 @@ class Waveform(_ReadOnlyState):
     tag: str | None = None
 
     def __post_init__(self):
-        given = _as_array("samples", self.samples, np.complex128, NonFiniteSample)
+        state = self._hold(self.samples, self.sample_interval, self.start_time, self.tag)
+        if state["tag"] == REAL and np.may_share_memory(state["samples"], self.samples):
+            state["samples"] = state["samples"].copy()  # the caller could still write to it
+        self.__setstate__(state)
+
+    @staticmethod
+    def _hold(samples, sample_interval: float, start_time: float = 0.0, tag=None) -> dict:
+        """The checked fields of every waveform, its samples one complex128 array."""
+        given = _as_array("samples", samples, np.complex128, NonFiniteSample)
         real = bool(np.all(given.imag == 0.0))
-        if self.tag is None:
-            object.__setattr__(self, "tag", REAL if real else COMPLEX)
-        elif self.tag == REAL and not real:
+        if tag is None:
+            tag = REAL if real else COMPLEX
+        elif tag == REAL and not real:
             raise RealTagViolation("waveform tagged real has nonzero imaginary parts")
-        object.__setattr__(self, "sample_interval", _as_float(
-            "sample_interval", self.sample_interval, given.size, **_INTERVAL))
+        interval = _as_float("sample_interval", sample_interval, given.size, **_INTERVAL)
         if given.size == 0:
             raise EmptySamples("waveform has no samples")
-        if self.tag not in (REAL, COMPLEX):
-            raise InvalidParameter(f"unknown tag {self.tag!r}")
-        object.__setattr__(self, "start_time", _as_float("start_time", self.start_time))
-        _require_finite_times(self.start_time, self.sample_interval, given.size)
-        arr = given.reshape(-1)
-        if self.tag == REAL and (given is self.samples or not given.flags.owndata):
-            arr = arr.copy()  # the caller's own memory: it could still write to it
-        object.__setattr__(self, "samples", _frozen(arr))
+        if tag not in (REAL, COMPLEX):
+            raise InvalidParameter(f"unknown tag {tag!r}")
+        start = _as_float("start_time", start_time)
+        _require_finite_times(start, interval, given.size)
+        return dict(samples=given.reshape(-1), sample_interval=interval, start_time=start, tag=tag)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -292,8 +301,7 @@ class Spectrum(_ReadOnlyState):
         spacing = _as_float("bin_spacing", self.bin_spacing, arr.size, **_INTERVAL)
         if 1.0 / spacing == math.inf:
             raise NonPositiveInterval(f"bin_spacing {spacing!r} gives an infinite record length")
-        object.__setattr__(self, "bins", _frozen(arr))
-        object.__setattr__(self, "bin_spacing", spacing)
+        self.__setstate__(dict(bins=arr, bin_spacing=spacing))
 
     def __len__(self) -> int:
         return self.bins.size
@@ -313,14 +321,11 @@ class ImpulseTrain(_ReadOnlyState):
 
     def __init__(self, impulses: Iterable[tuple[float, complex]], domain: str = TIME):
         pairs = [(loc, wt) for loc, wt in impulses]
-        self._hold([loc for loc, _ in pairs], [wt for _, wt in pairs], domain)
+        self.__setstate__(self._hold([loc for loc, _ in pairs], [wt for _, wt in pairs], domain))
 
-    @classmethod
-    def _of(cls, locations, weights, domain: str) -> ImpulseTrain:
-        return object.__new__(cls)._hold(locations, weights, domain)
-
-    def _hold(self, locations, weights, domain: str) -> ImpulseTrain:
-        """Check and hold every train: the locations, sorted, with their weights or one for all."""
+    @staticmethod
+    def _hold(locations, weights, domain: str) -> dict:
+        """The checked fields: the locations, sorted, with their weights or one for all."""
         locs = _as_array("impulse locations", locations)
         wts = _as_array("impulse weights", weights, complex)
         if locs.ndim != 1 or wts.shape not in (locs.shape, ()):
@@ -331,10 +336,7 @@ class ImpulseTrain(_ReadOnlyState):
             raise InvalidParameter("impulse locations must be distinct")
         if domain not in (TIME, FREQUENCY):
             raise InvalidParameter(f"domain must be 'time' or 'frequency', got {domain!r}")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_locs", _frozen(locs))
-        object.__setattr__(self, "_wts", _frozen(np.broadcast_to(wts, locs.shape)[order]))
-        return self
+        return dict(domain=domain, _locs=locs, _wts=np.broadcast_to(wts, locs.shape)[order])
 
     @property
     def impulses(self) -> tuple[tuple[float, complex], ...]:
@@ -351,7 +353,7 @@ class ImpulseTrain(_ReadOnlyState):
 
 
 @dataclass(frozen=True, eq=False)
-class SegmentedFunction:
+class SegmentedFunction(_ReadOnlyState):
     """Piecewise map: a sorted tuple of (a, b, map) pieces, zero outside.
 
     Pieces may share endpoints but must not overlap.  Evaluation at a shared
@@ -370,7 +372,7 @@ class SegmentedFunction:
         for (_, b0, _), (a1, _, _) in zip(segs, segs[1:]):
             if a1 < b0:
                 raise InvalidParameter("segments overlap")
-        object.__setattr__(self, "segments", segs)
+        self.__setstate__(dict(segments=segs))
 
 
 def segmented_eval(s: SegmentedFunction, x: float) -> float:
@@ -401,7 +403,7 @@ def segmented_eval(s: SegmentedFunction, x: float) -> float:
 
 
 @dataclass(frozen=True)
-class GaborAtom:
+class GaborAtom(_ReadOnlyState):
     """Gaussian-envelope tone: exp(-alpha^2 (t-t0)^2) * cis(2 pi f0 t + phase).
 
     Every field is stored as a finite float, and alpha > 0 with alpha^2 and
@@ -414,19 +416,20 @@ class GaborAtom:
     phase: float = 0.0
 
     def __post_init__(self):
-        for name in ("t0", "f0", "alpha", "phase"):
-            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
-        if not _gaussian_width_ok(self.alpha):
+        fields = {name: _as_float(name, value) for name, value in vars(self).items()}
+        if not _gaussian_width_ok(fields["alpha"]):
             raise InvalidParameter(
-                f"alpha must be > 0 with alpha^2 and (pi/alpha)^2 finite, got {self.alpha!r}")
+                f"alpha must be > 0 with alpha^2 and (pi/alpha)^2 finite, got {fields['alpha']!r}")
+        self.__setstate__(fields)
 
 
 @dataclass(frozen=True, eq=False)
 class TFDistribution(_ReadOnlyState):
     """Time-frequency grid: values[i, j] at time_axis[i], freq_axis[j].
 
-    ``kind`` is "stft-complex" for short-time spectra or "wvd-real" for the
-    distribution rows, which are real by construction.
+    ``kind`` is "stft-complex" for short-time spectra, held as complex128, or "wvd-real"
+    for the distribution rows, real by construction and held as float64.  NonFiniteSample
+    unless every value is finite, InvalidParameter unless every axis point is.
     """
 
     values: np.ndarray
@@ -435,15 +438,13 @@ class TFDistribution(_ReadOnlyState):
     kind: str
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
-        ta = np.asarray(self.time_axis, dtype=float).reshape(-1)
-        fa = np.asarray(self.freq_axis, dtype=float).reshape(-1)
+        dtype = {"stft-complex": complex, "wvd-real": float}.get(self.kind)
+        if dtype is None:
+            raise InvalidParameter(f"unknown kind {self.kind!r}")
+        vals = _as_array("values", self.values, dtype, NonFiniteSample)
+        ta = _as_array("time_axis", self.time_axis).reshape(-1)
+        fa = _as_array("freq_axis", self.freq_axis).reshape(-1)
         if vals.ndim != 2 or vals.shape != (ta.size, fa.size):
             raise LengthMismatch(
-                f"values shape {vals.shape} does not match axes ({ta.size}, {fa.size})"
-            )
-        if self.kind not in ("stft-complex", "wvd-real"):
-            raise InvalidParameter(f"unknown kind {self.kind!r}")
-        object.__setattr__(self, "values", _frozen(vals))
-        object.__setattr__(self, "time_axis", _frozen(ta))
-        object.__setattr__(self, "freq_axis", _frozen(fa))
+                f"values shape {vals.shape} does not match axes ({ta.size}, {fa.size})")
+        self.__setstate__(dict(values=vals, time_axis=ta, freq_axis=fa))

@@ -89,7 +89,7 @@ def window_rect(w: Waveform, width: float, center: float) -> Waveform:
     rectangle kernel's jump convention.
     """
     gains = rect(w.times - _as_float("center", center), width)
-    return Waveform(w.samples * gains, w.sample_interval, w.start_time, tag=w.tag)
+    return Waveform._of(w.samples * gains, w.sample_interval, w.start_time, w.tag)
 
 
 # The offsets d = K, K - 1, ..., -K of a sinc window from its nearest sample and
@@ -173,5 +173,5 @@ def sample_spectrum(spectrum_map: Callable[[float], complex], bin_spacing: float
     samples = np.tile(_fft_raw(lines), 2)
     interval = 1.0 / (bin_spacing * per_period)
     if np.array_equal(lines, np.conj(lines[-np.arange(per_period) % per_period])):
-        return train, Waveform(samples.real, interval, 0.0)
-    return train, Waveform(samples, interval, 0.0)
+        return train, Waveform._of(samples.real, interval)
+    return train, Waveform._of(samples, interval)

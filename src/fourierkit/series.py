@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .core import (InvalidParameter, _INTERVAL, _MAX_COUNT, _ReadOnlyState, _as_array, _as_count,
-                   _as_float, _eval_map, _frozen, _match)
+                   _as_float, _eval_map, _match)
 from .transforms import QuadratureSpec, _fft_raw
 
 _BLOCK_ENTRIES = 2_000_000  # entries per block of series_synthesize's angle matrices
@@ -45,10 +45,8 @@ class SeriesCoefficients(_ReadOnlyState):
         sin = _as_array("sine", self.sine).reshape(-1)
         if cos.size != sin.size:
             raise InvalidParameter("cosine and sine coefficient counts differ")
-        object.__setattr__(self, "period", _as_float("period", self.period, **_INTERVAL))
-        object.__setattr__(self, "cosine", _frozen(cos))
-        object.__setattr__(self, "sine", _frozen(sin))
-        object.__setattr__(self, "a0", _as_float("a0", self.a0))
+        period = _as_float("period", self.period, **_INTERVAL)
+        self.__setstate__(dict(a0=_as_float("a0", self.a0), cosine=cos, sine=sin, period=period))
 
     @property
     def harmonics(self) -> int:
@@ -71,22 +69,16 @@ class ComplexSeriesCoefficients(_ReadOnlyState):
     def __init__(self, terms: Mapping[int, complex], period: float):
         terms = dict(terms)
         ms = [_as_count("harmonic", m, least=-_MAX_COUNT) for m in terms]
-        self._hold(np.array(ms, np.int64), list(terms.values()), period)
+        self.__setstate__(self._hold(np.array(ms, np.int64), list(terms.values()), period))
 
-    @classmethod
-    def _of(cls, ms: np.ndarray, cs: np.ndarray, period: float) -> ComplexSeriesCoefficients:
-        return object.__new__(cls)._hold(ms, cs, period)
-
-    def _hold(self, ms: np.ndarray, cs, period: float) -> ComplexSeriesCoefficients:
-        """Check and hold every value: int64 harmonics ``ms``, distinct as the keys of a
-        mapping are, and one finite complex value each."""
+    @staticmethod
+    def _hold(ms: np.ndarray, cs, period: float) -> dict:
+        """The checked fields: int64 harmonics ``ms``, distinct as the keys of a mapping are,
+        and one finite complex value each."""
         cs = _as_array("complex coefficients", cs, complex)
         if cs.shape != ms.shape:
             raise InvalidParameter("each term must be one harmonic and one value")
-        object.__setattr__(self, "period", _as_float("period", period, **_INTERVAL))
-        object.__setattr__(self, "_ms", _frozen(ms))
-        object.__setattr__(self, "_cs", _frozen(cs))
-        return self
+        return dict(period=_as_float("period", period, **_INTERVAL), _ms=ms, _cs=cs)
 
     @property
     def terms(self) -> dict[int, complex]:

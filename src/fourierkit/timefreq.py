@@ -49,7 +49,7 @@ def analytic_signal(w: Waveform) -> Waveform:
     if n % 2 == 0:
         gains[n // 2] = 1.0
     bins = _fft_raw(w.samples) * gains
-    return Waveform(_ifft_raw(bins), w.sample_interval, w.start_time)
+    return Waveform._of(_ifft_raw(bins), w.sample_interval, w.start_time)
 
 
 def gabor_atom_eval(g: GaborAtom, t):

@@ -42,6 +42,7 @@ from .core import (
     ToleranceNotReached,
     Waveform,
     _INTERVAL,
+    _ReadOnlyState,
     _as_count,
     _as_float,
     _eval_map,
@@ -105,7 +106,7 @@ def idft(s: Spectrum) -> Waveform:
     The spectrum carries no time origin, so the waveform starts at t = 0.
     """
     n = len(s)
-    return Waveform(_backwards(_dft_raw(s.bins)), sample_interval=1.0 / (n * s.bin_spacing))
+    return Waveform._of(_backwards(_dft_raw(s.bins)), 1.0 / (n * s.bin_spacing))
 
 
 # (prime p, power k) of the full radices p^k = 16, 9, 25 and 7 of the stage
@@ -369,7 +370,7 @@ def fft(w: Waveform) -> Spectrum:
 def ifft(s: Spectrum) -> Waveform:
     """Fast inverse, same contract as ``idft``."""
     n = len(s)
-    return Waveform(_ifft_raw(s.bins), sample_interval=1.0 / (n * s.bin_spacing))
+    return Waveform._of(_ifft_raw(s.bins), 1.0 / (n * s.bin_spacing))
 
 
 def dtft_eval(w: Waveform, f: float) -> complex:
@@ -419,7 +420,7 @@ def centered(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(_ReadOnlyState):
     """Integration window and budget for the adaptive rule.
 
     ``max_subdivisions`` caps the number of interval splits; ``damping``
@@ -435,18 +436,18 @@ class QuadratureSpec:
     damping: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", _as_float("lower", self.lower, error=NonPositiveInterval))
-        object.__setattr__(self, "upper", _as_float("upper", self.upper, error=NonPositiveInterval))
-        if not (self.lower < self.upper and self.upper - self.lower < math.inf):
+        lower = _as_float("lower", self.lower, error=NonPositiveInterval)
+        upper = _as_float("upper", self.upper, error=NonPositiveInterval)
+        if not (lower < upper and upper - lower < math.inf):
             raise NonPositiveInterval(
-                f"need lower < upper, a finite width apart: [{self.lower}, {self.upper}]")
-        object.__setattr__(self, "max_subdivisions",
-                           _as_count("max_subdivisions", self.max_subdivisions))
-        object.__setattr__(self, "abs_tolerance",
-                           _as_float("abs_tolerance", self.abs_tolerance, above=0.0))
-        object.__setattr__(self, "damping", _as_float("damping", self.damping))
-        if self.damping < 0.0:
-            raise InvalidParameter(f"damping must be >= 0, got {self.damping!r}")
+                f"need lower < upper, a finite width apart: [{lower}, {upper}]")
+        subdivisions = _as_count("max_subdivisions", self.max_subdivisions)
+        tolerance = _as_float("abs_tolerance", self.abs_tolerance, above=0.0)
+        damping = _as_float("damping", self.damping)
+        if damping < 0.0:
+            raise InvalidParameter(f"damping must be >= 0, got {damping!r}")
+        self.__setstate__(dict(lower=lower, upper=upper, max_subdivisions=subdivisions,
+                               abs_tolerance=tolerance, damping=damping))
 
 
 @dataclass(frozen=True)

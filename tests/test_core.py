@@ -403,6 +403,31 @@ def test_source_never_delegates_the_transforms():
                     f"{path.name}:{node.lineno} uses {name}"
 
 
+def _object_setattr_scopes(node, scope=""):
+    """The dotted class and function scope of each ``object.__setattr__`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _object_setattr_scopes(child, f"{scope}.{child.name}")
+        elif isinstance(child, ast.Attribute) and ast.unparse(child) == "object.__setattr__":
+            yield scope
+        else:
+            yield from _object_setattr_scopes(child, scope)
+
+
+def test_one_rule_writes_the_fields_of_every_value():
+    # _ReadOnlyState.__setstate__ is the only code that writes a value's fields, and
+    # _ReadOnlyState._of the one private constructor: no type holds its fields its own way
+    writers, builders = [], []
+    for path in sorted((Path(__file__).parents[1] / "src" / "fourierkit").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        writers += [path.stem + scope for scope in _object_setattr_scopes(tree)]
+        builders += [f"{path.stem}.{cls.name}" for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef) for func in cls.body
+                     if isinstance(func, ast.FunctionDef) and func.name == "_of"]
+    assert writers == ["core._ReadOnlyState.__setstate__"]
+    assert builders == ["core._ReadOnlyState"]
+
+
 def test_cli_writes_tables_from_main_only():
     # commands return their table; main is the one place that writes it
     path = Path(__file__).parents[1] / "src" / "fourierkit" / "cli.py"
@@ -635,6 +660,20 @@ def test_scalar_only_package_functions_serve_as_maps():
                                       abs=1e-12)
 
 
+def test_a_package_error_from_the_array_call_is_raised_at_once():
+    """An array map that refuses one of its points is not called again point by point."""
+    atom, calls = GaborAtom(0.0, 1e306, 1.0), []
+
+    def phase_overflows_from_t_28_612(t):
+        calls.append(t)
+        return fk.gabor_atom_eval(atom, t)
+
+    with pytest.raises(InvalidParameter, match=r"^phase 2\*pi\*f0\*t \+ phase has a non-finite "
+                                               r"value at t = 28\.612000000000002$"):
+        sample(phase_overflows_from_t_28_612, 1e-3, 100000)
+    assert len(calls) == 1
+
+
 def test_gabor_atom_requires_positive_alpha():
     GaborAtom(0.0, 1.0, 2.0)
     atom = GaborAtom(0, 1, 2)
@@ -655,6 +694,19 @@ def test_tfdistribution_checks_shape_and_kind():
         TFDistribution(vals, [0.0], [0.0, 1.0, 2.0], kind="wvd-real")
     with pytest.raises(ValueError):
         TFDistribution(vals, [0.0, 1.0], [0.0, 1.0, 2.0], kind="scalogram")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind, dtype", [("wvd-real", np.float64), ("stft-complex", np.complex128)])
+def test_tfdistribution_holds_finite_values_of_its_kind(kind, dtype, bad):
+    axes = ([0.0, 1.0], [0.0, 1.0, 2.0])
+    assert TFDistribution(np.ones((2, 3)), *axes, kind=kind).values.dtype == dtype
+    vals = np.zeros((2, 3))
+    vals[1, 2] = bad
+    with pytest.raises(NonFiniteSample, match="^values has a non-finite value at index 5$"):
+        TFDistribution(vals, *axes, kind=kind)
+    with pytest.raises(InvalidParameter, match="^time_axis has a non-finite value at index 1$"):
+        TFDistribution(np.zeros((2, 3)), [0.0, bad], axes[1], kind=kind)
 
 
 def test_constructors_freeze_a_view_not_the_callers_array():

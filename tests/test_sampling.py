@@ -228,6 +228,21 @@ def test_window_rect_preserves_tag_and_grid():
     assert got.sample_interval == 0.5
 
 
+def test_window_rect_holds_its_real_result_without_a_second_copy():
+    # the windowed samples are a fresh 16 MiB array the result owns: copying them
+    # again, as for a caller's array, took the peak to 40 MiB
+    w = Waveform(np.ones(1 << 20), 1.0)
+    window_rect(w, 1e5, 5e5)
+    tracemalloc.start()
+    try:
+        got = window_rect(w, 1e5, 5e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tag == "real"
+    assert peak <= 34 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # sinc reconstruction
 # ---------------------------------------------------------------------------

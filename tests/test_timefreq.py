@@ -13,6 +13,7 @@ from fourierkit import (
     FrameTooLong,
     GaborAtom,
     InvalidParameter,
+    NonFiniteSample,
     OddLength,
     QuadratureSpec,
     RealTagViolation,
@@ -422,6 +423,17 @@ def test_wvd_accepts_pre_made_analytic_input():
     dist = wvd(w)
     for row in dist.values:
         assert np.argmax(row) == 25
+
+
+@pytest.mark.parametrize("call", [lambda: wvd(Waveform(np.full(16, 1e200), 1.0)),
+                                  lambda: stft(Waveform(np.full(64, 1e308), 1.0), 0.0, 1, 8)],
+                         ids=["wvd", "stft"])
+def test_a_grid_that_overflows_is_refused(call):
+    # finite samples whose lag products or frame sums overflow: numpy warns, and
+    # the grid raises instead of holding nan and inf cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteSample, match="^values has a non-finite value at index 0$"):
+            call()
 
 
 def test_wvd_validation():
